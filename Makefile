@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare corpus-smoke corpus-rows routing-check lint-examples flow-examples batch-examples delta-examples serve-examples clean
+.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare perfbench-smoke corpus-smoke corpus-rows routing-check lint-examples flow-examples batch-examples delta-examples serve-examples clean
 
 # Output path for bench-json; override to record a new baseline, e.g.
 #   make bench-json OUT=BENCH_PR2.json
@@ -10,8 +10,8 @@ SMOKE_OUT ?= BENCH_SMOKE.json
 # Baselines for bench-compare, e.g.
 #   make bench-compare BASE=BENCH_PR1.json NEW=BENCH_PR3.json
 # Exits nonzero when any kernel regressed by more than 10%.
-BASE ?= BENCH_PR9.json
-NEW ?= BENCH_PR10.json
+BASE ?= BENCH_PR10.json
+NEW ?= BENCH_PR12.json
 
 # Corpus seed for corpus-smoke / corpus-rows; the whole instance set
 # derives from it deterministically.
@@ -50,6 +50,15 @@ bench-json:
 # beyond 10% are flagged in the output.
 bench-compare:
 	dune exec bench/main.exe -- --compare $(BASE) $(NEW)
+
+# Correctness smoke of the request-level benchmark: one short untraced
+# run per workload, gated on the exit code only (every response passes
+# the oracle and matches the recorded optima in perfbench/expected.json;
+# no timing is checked).
+perfbench-smoke:
+	for w in hot cold corpus; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # End-to-end smoke of the corpus -> tune pipeline (the CI configuration):
 # measure the small corpus, fit a routing table from the fresh rows, and

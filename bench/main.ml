@@ -117,6 +117,14 @@ let timing_tests ~lp_mode () =
              { Svbench.Gen_instances.default_shape with n_modules = 3 }
              ~lmax:2))
   in
+  (* Built on first use, so its 4096-row table is not live heap while
+     the other kernels run. *)
+  let wide10 =
+    lazy
+      (Wf.Gen.random_module (Rng.create 26) ~name:"wide10"
+         ~inputs:(Rel.Attr.booleans (List.init 10 (Printf.sprintf "x%d")))
+         ~outputs:(Rel.Attr.booleans [ "y0"; "y1" ]))
+  in
   let e21_edit =
     let attr = List.hd (List.sort compare (Core.Instance.attrs card_union)) in
     let cost = Rat.add (Core.Instance.attr_cost card_union attr) Rat.one in
@@ -381,6 +389,13 @@ let timing_tests ~lp_mode () =
               (Core.Engine.route Core.Engine.fitted_routing f
                  ~deadline_ms:None))
           corpus_feats);
+    (* Wide-module twin of e18: one private module with 10 boolean
+       inputs and 2 outputs and a full random table, so the safety
+       table has 4096 hidden subsets, most of them implied safe by
+       Proposition 1. Timed last, so its allocation cannot change the
+       heap any other kernel runs in. *)
+    stage "e26_derive_wide10" (fun () ->
+        ignore (Core.Derive.requirement (Lazy.force wide10) ~gamma:2));
   ]
 
 (* Flat { "test": ns_per_run } object; hand-rolled since the estimates

@@ -165,7 +165,8 @@ let analyze_cmd =
     | Some m ->
         let gamma = gamma_of spec name in
         Printf.printf "standalone analysis of %s for Gamma = %d\n" name gamma;
-        let minimal = Privacy.Standalone.minimal_hidden_subsets m ~gamma in
+        let table = Privacy.Standalone.Table.build m ~gamma in
+        let minimal = Privacy.Standalone.Table.minimal table in
         Printf.printf "minimal safe hidden sets: %s\n"
           (if minimal = [] then "(none - the requirement is unachievable)"
            else String.concat " " (List.map (fun h -> "{" ^ String.concat "," h ^ "}") minimal));
@@ -176,7 +177,7 @@ let analyze_cmd =
               (String.concat "," hidden) (Rat.to_string c)
         | None -> print_endline "no safe subset exists");
         Format.printf "derived requirement: %a@." Core.Requirement.pp
-          (Core.Derive.requirement m ~gamma)
+          (Core.Derive.of_table table)
   in
   Cmd.v (Cmd.info "analyze" ~doc:"Standalone privacy analysis of one module.")
     Term.(const run $ file_arg $ module_arg)

@@ -10,7 +10,16 @@
     module can also have asymmetric safe sets (e.g. one input plus a
     different position's output) that no (alpha, beta) pair captures.
     {!sound_cardinality} computes the uniformly-safe profiles;
-    {!exact_cardinality} additionally checks that nothing is lost. *)
+    {!exact_cardinality} additionally checks that nothing is lost.
+
+    Every function here reads one {!Privacy.Standalone.Table} of the
+    module: the safety of all [2^k] hidden subsets, decided with one
+    standalone check per subset that contains no smaller safe subset.
+    Proposition 1 (safety is upward closed in the hidden set) makes
+    that table equal to checking every subset, so the results are those
+    of the per-subset definitions; {!requirement} builds the table
+    once and reads the profiles, the exactness test and the minimal
+    sets off it. *)
 
 val sets_requirement : Wf.Wmodule.t -> gamma:int -> Requirement.sets
 (** The minimal safe hidden subsets (an antichain, per Proposition 1),
@@ -31,3 +40,7 @@ val requirement : Wf.Wmodule.t -> gamma:int -> Requirement.t
 (** The compact cardinality form when it is exact and non-empty
     (one-one and majority modules of Example 6), the set form
     otherwise. *)
+
+val of_table : Privacy.Standalone.Table.t -> Requirement.t
+(** {!requirement} of the table's module, for callers that already
+    built the table (e.g. to also list its minimal hidden sets). *)

@@ -74,17 +74,62 @@ let is_hidden_safe m ~hidden ~gamma =
 let safe_visible_subsets m ~gamma =
   List.filter (fun visible -> is_safe m ~visible ~gamma) (Svutil.Subset.all (M.attr_names m))
 
-let minimal_hidden_subsets m ~gamma =
-  (* Scan hidden sets by increasing size; a set is minimal iff it is safe
-     and contains none of the smaller minimal sets (Proposition 1 makes
-     safety upward closed in the hidden set). *)
-  let minimal = ref [] in
-  List.iter
-    (fun hidden ->
-      if not (List.exists (fun h -> Listx.is_subset h hidden) !minimal) then
-        if is_hidden_safe m ~hidden ~gamma then minimal := hidden :: !minimal)
-    (Svutil.Subset.by_increasing_size (M.attr_names m));
-  List.rev !minimal
+(* One pass over the hidden-set bitmasks (bit i = the i-th of
+   [M.attr_names m]) in increasing numeric order, so every one-smaller
+   subset of a mask is decided before the mask itself. A mask that
+   drops to a safe mask on removing one attribute is safe by
+   Proposition 1 and is never checked; the masks that are checked and
+   found safe are exactly the minimal safe hidden sets. *)
+module Table = struct
+  type t = { wmodule : M.t; attrs : string list; status : Bytes.t; checks : int }
+
+  let unsafe = '\000'
+  let minimal_safe = '\001'
+  let implied_safe = '\002'
+
+  let build m ~gamma =
+    let attrs = M.attr_names m in
+    Svutil.Subset.check_universe attrs;
+    let status = Bytes.make (1 lsl List.length attrs) unsafe in
+    let checks = ref 0 in
+    let rec implied mask bits =
+      bits <> 0
+      &&
+      let bit = bits land -bits in
+      Bytes.get status (mask lxor bit) <> unsafe || implied mask (bits lxor bit)
+    in
+    for mask = 0 to Bytes.length status - 1 do
+      if implied mask mask then Bytes.set status mask implied_safe
+      else begin
+        incr checks;
+        let hidden = Svutil.Subset.of_mask attrs mask in
+        if is_hidden_safe m ~hidden ~gamma then Bytes.set status mask minimal_safe
+      end
+    done;
+    { wmodule = m; attrs; status; checks = !checks }
+
+  let wmodule t = t.wmodule
+  let attrs t = t.attrs
+  let size t = Bytes.length t.status
+  let safe t mask = Bytes.get t.status mask <> unsafe
+  let checked t mask = Bytes.get t.status mask <> implied_safe
+  let checks t = t.checks
+
+  (* [Subset.by_increasing_size] order: by size, then lexicographically
+     by attribute positions. *)
+  let minimal t =
+    let positions = Listx.range (List.length t.attrs) in
+    let found = ref [] in
+    Bytes.iteri
+      (fun mask s ->
+        if s = minimal_safe then
+          found := Svutil.Subset.of_mask positions mask :: !found)
+      t.status;
+    List.sort (fun a b -> compare (List.length a, a) (List.length b, b)) !found
+    |> List.map (List.map (List.nth t.attrs))
+end
+
+let minimal_hidden_subsets m ~gamma = Table.minimal (Table.build m ~gamma)
 
 let min_cost_search m ~gamma ~cost ~prune ~count =
   let best = ref None in

@@ -45,11 +45,57 @@ val safe_visible_subsets : Wf.Wmodule.t -> gamma:int -> string list list
 (** All safe visible subsets [V], by exhaustive [2^k] search
     (Section 3.2's upper bound; [k] must be small). *)
 
+(** {1 The safety table}
+
+    Every exhaustive per-module question below ({!minimal_hidden_subsets}
+    and the requirement derivation of {!Core.Derive}) is read off one
+    table of the safety of all [2^k] hidden subsets. The table costs
+    one {!is_hidden_safe} check only for hidden sets that contain no
+    smaller safe hidden set: safety is upward closed in the hidden set
+    (Proposition 1), so a set one attribute larger than a safe set is
+    marked safe unchecked, and the table equals the per-subset checks
+    it replaces. *)
+
+module Table : sig
+  type t
+
+  val build : Wf.Wmodule.t -> gamma:int -> t
+  (** Decide every hidden subset, visiting bitmasks in increasing
+      numeric order (bit [i] is the [i]-th of [Wmodule.attr_names]).
+      @raise Invalid_argument beyond 25 attributes, before allocating
+      the table. *)
+
+  val wmodule : t -> Wf.Wmodule.t
+  val attrs : t -> string list
+  (** The attribute behind each mask bit: [Wmodule.attr_names], inputs
+      first. *)
+
+  val size : t -> int
+  (** [2^k], the number of masks. *)
+
+  val safe : t -> int -> bool
+  (** Whether hiding the mask's attributes is safe. *)
+
+  val checked : t -> int -> bool
+  (** Whether the mask was decided by an {!is_hidden_safe} check rather
+      than by Proposition 1. Never true of a strict superset of a safe
+      mask. *)
+
+  val checks : t -> int
+  (** Number of {!is_hidden_safe} checks the build made (at most [2^k]):
+      the unsafe masks plus the minimal safe ones. *)
+
+  val minimal : t -> string list list
+  (** {!minimal_hidden_subsets}, read off the table. *)
+end
+
 val minimal_hidden_subsets : Wf.Wmodule.t -> gamma:int -> string list list
 (** The minimal (w.r.t. inclusion) hidden subsets whose complements are
     safe — the antichain from which every safe view arises by
     Proposition 1. These are the per-module "requirement lists" of the
-    workflow Secure-View problem. *)
+    workflow Secure-View problem. Ordered by size, then
+    lexicographically by attribute position (the
+    [Subset.by_increasing_size] order); built from one {!Table}. *)
 
 val min_cost_hidden :
   ?prune:bool ->

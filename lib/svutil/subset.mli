@@ -6,6 +6,14 @@ val all : 'a list -> 'a list list
     than 25 elements — exhaustive search beyond that is a bug, not a
     workload. *)
 
+val check_universe : 'a list -> unit
+(** Raises [Invalid_argument] when the universe is larger than 25
+    elements, the limit every enumeration here enforces. *)
+
+val of_mask : 'a list -> int -> 'a list
+(** The subset whose members are the elements at the set bit positions
+    of the mask (bit [i] is the [i]-th element), in universe order. *)
+
 val of_size : 'a list -> int -> 'a list list
 (** All subsets of the given cardinality. *)
 

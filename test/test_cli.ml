@@ -480,6 +480,68 @@ let test_routing_dump_roundtrip () =
             winner_name t
       | _ -> Alcotest.fail "route.table must be a string")
 
+(* analyze reads the minimal hidden sets and the derived requirement
+   off one safety table; its output must match the per-subset
+   derivation of Derive_oracle on every shipped module, and the Figure
+   1 transcript verbatim. *)
+let analyze_expected (spec : Wf.Parse.spec) (m : Wf.Wmodule.t) =
+  let name = m.Wf.Wmodule.name in
+  let gamma =
+    Option.value ~default:spec.Wf.Parse.gamma
+      (List.assoc_opt name spec.Wf.Parse.gamma_overrides)
+  in
+  let set h = "{" ^ String.concat "," h ^ "}" in
+  let minimal = Derive_oracle.minimal_hidden_subsets m ~gamma in
+  let cost a = List.assoc a spec.Wf.Parse.costs in
+  String.concat "\n"
+    [
+      Printf.sprintf "standalone analysis of %s for Gamma = %d" name gamma;
+      "minimal safe hidden sets: "
+      ^ (if minimal = [] then "(none - the requirement is unachievable)"
+         else String.concat " " (List.map set minimal));
+      (match Privacy.Standalone.min_cost_hidden m ~gamma ~cost with
+      | Some (hidden, c) ->
+          Printf.sprintf "cheapest safe hidden set: %s at cost %s" (set hidden)
+            (Rat.to_string c)
+      | None -> "no safe subset exists");
+      Format.asprintf "derived requirement: %a" Core.Requirement.pp
+        (Derive_oracle.requirement m ~gamma);
+    ]
+
+let test_analyze_golden () =
+  Alcotest.(check (pair bool string))
+    "fig1 m1 transcript"
+    ( true,
+      String.concat "\n"
+        [
+          "standalone analysis of m1 for Gamma = 4";
+          "minimal safe hidden sets: {a1,a3} {a1,a4} {a1,a5} {a2,a3} {a2,a4} \
+           {a2,a5} {a3,a4} {a3,a5} {a4,a5}";
+          "cheapest safe hidden set: {a1,a3} at cost 2";
+          "derived requirement: card[(0,2); (1,1)]";
+        ] )
+    (run_cli [ "analyze"; example "fig1.swf"; "m1" ]);
+  let specs =
+    Sys.readdir (Filename.concat base "../examples")
+    |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".swf")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "examples found" true (List.length specs >= 2);
+  List.iter
+    (fun f ->
+      match Wf.Parse.parse_file (example f) with
+      | Error e -> Alcotest.failf "%s: %s" f e
+      | Ok spec ->
+          List.iter
+            (fun (m : Wf.Wmodule.t) ->
+              Alcotest.(check (pair bool string))
+                (f ^ " " ^ m.Wf.Wmodule.name)
+                (true, analyze_expected spec m)
+                (run_cli [ "analyze"; example f; m.Wf.Wmodule.name ]))
+            (Wf.Workflow.modules spec.Wf.Parse.workflow))
+    specs
+
 let () =
   Alcotest.run "cli"
     [
@@ -491,6 +553,8 @@ let () =
           Alcotest.test_case "--metrics in text mode" `Quick
             test_solve_metrics_text_mode;
         ] );
+      ( "analyze",
+        [ Alcotest.test_case "golden transcripts" `Quick test_analyze_golden ] );
       ( "batch",
         [
           Alcotest.test_case "--metrics json" `Quick test_batch_metrics;

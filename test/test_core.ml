@@ -95,6 +95,49 @@ let test_derive_matches_standalone () =
           Alcotest.failf "mismatch on hidden {%s}" (String.concat "," hidden))
   done
 
+let test_table_check_counts () =
+  (* Deterministic work counts on the Example 6 modules: one standalone
+     check per unsafe hidden set plus one per minimal safe set (the
+     per-subset derivation made 2 * 2^k checks plus a pruned scan). *)
+  let id2 = L.identity ~name:"id" ~inputs:[ "x1"; "x2" ] ~outputs:[ "y1"; "y2" ] in
+  let maj = L.majority ~name:"maj" ~inputs:[ "x1"; "x2"; "x3"; "x4" ] ~output:"y" in
+  let checks m ~gamma = St.Table.checks (St.Table.build m ~gamma) in
+  Alcotest.(check int) "id2, gamma 2 (of 16 masks)" 5 (checks id2 ~gamma:2);
+  Alcotest.(check int) "id2, gamma 4 (of 16 masks)" 11 (checks id2 ~gamma:4);
+  Alcotest.(check int) "majority of 4, gamma 2 (of 32 masks)" 16 (checks maj ~gamma:2)
+
+let test_derive_universe_limit () =
+  (* Beyond 25 attributes every entry point refuses with the message of
+     the per-subset derivation, before allocating a 2^k table. *)
+  let n = 25 in
+  let m =
+    Wf.Wmodule.of_partial_fun ~name:"wide"
+      ~inputs:(List.init n (fun i -> Rel.Attr.boolean (Printf.sprintf "x%d" i)))
+      ~outputs:[ Rel.Attr.boolean "y" ]
+      ~defined_on:[ Array.make n 0 ]
+      (fun _ -> [| 0 |])
+  in
+  let refusal f =
+    let before = Gc.allocated_bytes () in
+    let msg = match f () with () -> None | exception Invalid_argument msg -> Some msg in
+    (msg, Gc.allocated_bytes () -. before)
+  in
+  let expected, _ = refusal (fun () -> ignore (Derive_oracle.requirement m ~gamma:2)) in
+  Alcotest.(check bool) "the oracle refuses" true (expected <> None);
+  List.iter
+    (fun (name, f) ->
+      let msg, allocated = refusal f in
+      Alcotest.(check (option string)) name expected msg;
+      Alcotest.(check bool) (name ^ " allocates no table") true (allocated < 1e6))
+    [
+      ("table", fun () -> ignore (St.Table.build m ~gamma:2));
+      ("minimal", fun () -> ignore (St.minimal_hidden_subsets m ~gamma:2));
+      ("sets", fun () -> ignore (Der.sets_requirement m ~gamma:2));
+      ("sound", fun () -> ignore (Der.sound_cardinality m ~gamma:2));
+      ("exact", fun () -> ignore (Der.exact_cardinality m ~gamma:2));
+      ("requirement", fun () -> ignore (Der.requirement m ~gamma:2));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Instances and solutions                                             *)
 (* ------------------------------------------------------------------ *)
@@ -477,6 +520,47 @@ let gen_instance =
     let cost a = List.assoc a costs in
     return (w, Inst.of_workflow w ~gamma:2 ~cost ()))
 
+(* Random standalone-derivation cases: arity <= 7, domains 2-3, total
+   or partial tables, gamma 1..9. Attribute names are out of
+   alphabetical order so that position order and sorted order differ. *)
+let gen_derive_case =
+  QCheck2.Gen.(
+    let* n_in = int_range 1 6 in
+    let* n_out = int_range 1 (7 - n_in) in
+    let* doms = list_repeat (n_in + n_out) (int_range 2 3) in
+    let* partial = bool in
+    let* gamma = int_range 1 9 in
+    let* seed = int_range 0 1_000_000 in
+    return (n_in, doms, partial, gamma, seed))
+
+let print_derive_case (n_in, doms, partial, gamma, seed) =
+  Printf.sprintf "inputs=%d doms=[%s] partial=%b gamma=%d seed=%d" n_in
+    (String.concat ";" (List.map string_of_int doms))
+    partial gamma seed
+
+let module_of_case (n_in, doms, partial, _, seed) =
+  let rng = Svutil.Rng.create seed in
+  let names = [ "q"; "c"; "x"; "a"; "m"; "f"; "t" ] in
+  let attrs = List.mapi (fun i d -> Rel.Attr.make (List.nth names i) ~dom:d) doms in
+  let inputs = List.filteri (fun i _ -> i < n_in) attrs in
+  let outputs = List.filteri (fun i _ -> i >= n_in) attrs in
+  let out_tuples = Array.of_list (Rel.Schema.all_tuples (Rel.Schema.of_list outputs)) in
+  let f _ = out_tuples.(Svutil.Rng.int rng (Array.length out_tuples)) in
+  if partial then
+    let defined_on =
+      List.filter
+        (fun _ -> Svutil.Rng.bool rng)
+        (Rel.Schema.all_tuples (Rel.Schema.of_list inputs))
+    in
+    Wf.Wmodule.of_partial_fun ~name:"m" ~inputs ~outputs ~defined_on f
+  else Wf.Wmodule.of_fun ~name:"m" ~inputs ~outputs f
+
+let derive_prop ~count name f =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count ~name ~print:print_derive_case gen_derive_case (fun c ->
+         let (_, _, _, gamma, _) = c in
+         f (module_of_case c) ~gamma))
+
 (* A cost-preserving bijective renaming: every attribute and module
    name gains a suffix and the record lists are reversed.  Solver
    answers may pick different (equal-cost) sets, but the optimum value
@@ -517,6 +601,32 @@ let auto_cost inst =
 
 let props =
   [
+    derive_prop ~count:200 "derivation = per-subset oracle, list order included"
+      (fun m ~gamma ->
+        Der.sound_cardinality m ~gamma = Derive_oracle.sound_cardinality m ~gamma
+        && Der.exact_cardinality m ~gamma = Derive_oracle.exact_cardinality m ~gamma
+        && Der.sets_requirement m ~gamma = Derive_oracle.sets_requirement m ~gamma
+        && Der.requirement m ~gamma = Derive_oracle.requirement m ~gamma
+        && St.minimal_hidden_subsets m ~gamma
+           = Derive_oracle.minimal_hidden_subsets m ~gamma);
+    derive_prop ~count:100 "safety table: no safe mask's strict superset is checked"
+      (fun m ~gamma ->
+        let t = St.Table.build m ~gamma in
+        let masks = Svutil.Listx.range (St.Table.size t) in
+        let checked = List.filter (St.Table.checked t) masks in
+        let strict_sub s mask = s land mask = s && s <> mask in
+        St.Table.checks t = List.length checked
+        && St.Table.checks t <= St.Table.size t
+        && List.for_all
+             (fun mask ->
+               not (List.exists (fun s -> strict_sub s mask && St.Table.safe t s) masks))
+             checked
+        && List.for_all
+             (fun mask ->
+               St.Table.safe t mask
+               = St.is_hidden_safe m ~gamma
+                   ~hidden:(Svutil.Subset.of_mask (St.Table.attrs t) mask))
+             masks);
     prop "ilp matches brute force" gen_instance (fun (_, inst) ->
         match
           ( Core.Exact.solve ~mode:Lp.Simplex.Exact_mode inst,
@@ -714,6 +824,8 @@ let () =
           Alcotest.test_case "one-one (example 6)" `Quick test_derive_one_one;
           Alcotest.test_case "majority (example 6)" `Quick test_derive_majority;
           Alcotest.test_case "matches standalone safety" `Quick test_derive_matches_standalone;
+          Alcotest.test_case "table check counts" `Quick test_table_check_counts;
+          Alcotest.test_case "universe limit" `Quick test_derive_universe_limit;
         ] );
       ( "instances",
         [
