@@ -371,24 +371,6 @@ let timing_tests ~lp_mode () =
         in
         if List.assoc_opt "cache" r.Core.Engine.stats <> Some "hit" then
           failwith "e24: renamed union request missed the warm cache");
-  ]
-  @
-  (* Route-decision kernel: one pass of the fitted decision list over
-     every feature vector in the smoke corpus. This is the per-request
-     overhead Auto adds before any solver runs; it must stay in the
-     microsecond range or the router eats its own routing win. *)
-  let corpus_feats =
-    Svbench.Corpus.generate ~smoke:true ~seed:42 ()
-    |> List.map (fun (ir : Svbench.Corpus.inst_rec) -> ir.Svbench.Corpus.feats)
-  in
-  [
-    stage "e25_route_decision" (fun () ->
-        List.iter
-          (fun f ->
-            ignore
-              (Core.Engine.route Core.Engine.fitted_routing f
-                 ~deadline_ms:None))
-          corpus_feats);
     (* Wide-module twin of e18: one private module with 10 boolean
        inputs and 2 outputs and a full random table, so the safety
        table has 4096 hidden subsets, most of them implied safe by

@@ -8,8 +8,7 @@
    secure_view_cli check FILE --hide... validate a proposed view
    secure_view_cli flow FILE            static privacy-flow analysis
    secure_view_cli delta FILE --edits S incremental re-solve under an edit script
-   secure_view_cli corpus               generate + measure the seeded scenario corpus
-   secure_view_cli tune ROWS            fit a routing table from corpus rows
+   secure_view_cli corpus               dump the seeded scenario corpus as JSON
 
    All solving goes through Core.Engine: one request/result shape per
    method, deadlines, and the auto portfolio.
@@ -35,42 +34,10 @@ let load ?(preflight = false) path =
   | Ok spec -> spec
   | Error e -> fail_with e
 
-let read_all path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> s
-  | exception Sys_error m -> fail_with (Serve.Request.Parse_error m)
-
 let write_all path text =
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc text;
       Out_channel.output_char oc '\n')
-
-(* Numeric option values arrive as strings and are parsed by hand so a
-   malformed value exits 2 (Serve.Request.Usage) like every other bad
-   input, instead of cmdliner's 124. *)
-let parse_int ~what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None ->
-      fail_with
-        (Serve.Request.Usage
-           (Printf.sprintf "%s must be an integer, got %S" what s))
-
-let parse_float ~what s =
-  match float_of_string_opt s with
-  | Some f when Float.is_finite f -> f
-  | _ ->
-      fail_with
-        (Serve.Request.Usage
-           (Printf.sprintf "%s must be a finite number, got %S" what s))
-
-let load_routing path =
-  match Svutil.Json.of_string (read_all path) with
-  | Error m -> fail_with (Serve.Request.Parse_error (path ^ ": " ^ m))
-  | Ok j -> (
-      match Core.Engine.routing_of_json j with
-      | Ok t -> t
-      | Error m -> fail_with (Serve.Request.Parse_error (path ^ ": " ^ m)))
 
 let gamma_of (spec : Wf.Parse.spec) name =
   Option.value ~default:spec.Wf.Parse.gamma
@@ -313,45 +280,13 @@ let request_of inst ~meth ~node_limit ~lp_mode ~jobs ~seed ~deadline_ms ~trials
       static_fixing;
     }
 
-let routing_arg =
-  Arg.(value & opt (some string) None
-       & info [ "routing" ] ~docv:"FILE"
-           ~doc:"Load the auto-portfolio routing table from $(docv) (JSON, \
-                 as dumped by $(b,tune --out)) instead of the compiled-in \
-                 fitted table.")
-
-let explain_route_arg =
-  Arg.(value & flag
-       & info [ "explain-route" ]
-           ~doc:"Report which routing rule the auto portfolio would fire \
-                 for this request (method, rule, table name).")
-
 let solve_cmd =
   let run file meth emit_view node_limit lp_mode jobs json seed deadline
-      trials metrics_mode no_static_fixing routing_file explain_route =
-    Option.iter
-      (fun p -> Core.Engine.set_routing (load_routing p))
-      routing_file;
+      trials metrics_mode no_static_fixing =
     let spec = load ~preflight:true file in
     let inst = instance_of spec in
     let fields = ref [] in
     let field k v = fields := (k, v) :: !fields in
-    if explain_route then begin
-      let req0 =
-        request_of inst ~meth:Core.Engine.Auto ~node_limit ~lp_mode ~jobs
-          ~seed ~deadline_ms:deadline ~trials ~metrics:Svutil.Metrics.nop
-          ~static_fixing:(not no_static_fixing)
-      in
-      let m, why = Core.Engine.choose_explain req0 in
-      let table = (Core.Engine.routing ()).Core.Engine.r_name in
-      if json then
-        field "route"
-          (Printf.sprintf {|{"method":%s,"rule":%s,"table":%s}|}
-             (json_str (Core.Engine.meth_to_string m))
-             (json_str why) (json_str table))
-      else
-        Printf.printf "route    %s  [%s]\n" (Core.Engine.meth_to_string m) why
-    end;
     (* One method through the engine: print the human-readable lines
        (bound, solution, budget notes) unless --json, and always record
        the JSON field under the CLI's name for the method. *)
@@ -419,8 +354,7 @@ let solve_cmd =
   Cmd.v (Cmd.info "solve" ~doc:"Solve the workflow Secure-View problem.")
     Term.(const run $ file_arg $ method_arg $ emit_view_arg $ node_limit_arg
           $ lp_mode_arg $ jobs_arg $ solve_json_arg $ seed_arg $ deadline_arg
-          $ trials_arg $ metrics_arg $ no_static_fixing_arg $ routing_arg
-          $ explain_route_arg)
+          $ trials_arg $ metrics_arg $ no_static_fixing_arg)
 
 (* batch ----------------------------------------------------------------- *)
 
@@ -787,154 +721,36 @@ let serve_cmd =
 (* corpus ---------------------------------------------------------------- *)
 
 let corpus_cmd =
-  let seed_opt_arg =
-    Arg.(value & opt (some string) None
+  let corpus_seed_arg =
+    Arg.(value & opt int 42
          & info [ "seed" ] ~docv:"N"
              ~doc:"Corpus seed; the whole instance set derives from it \
-                   deterministically (default 42).")
+                   deterministically.")
   in
   let smoke_arg =
     Arg.(value & flag
          & info [ "smoke" ]
              ~doc:"Small corpus: small/medium sizes only, one replica per \
-                   cell — the CI smoke configuration.")
-  in
-  let list_arg =
-    Arg.(value & flag
-         & info [ "list" ]
-             ~doc:"Dump the generated instances as JSON instead of running \
-                   the solvers on them.")
-  in
-  let deadline_opt_arg =
-    Arg.(value & opt (some string) None
-         & info [ "deadline" ] ~docv:"MS"
-             ~doc:"Per-solve wall-clock budget in milliseconds (default: \
-                   none, which keeps the recorded rows deterministic).")
+                   cell.")
   in
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE"
              ~doc:"Write the JSON document to $(docv) instead of stdout.")
   in
-  let no_times_arg =
-    Arg.(value & flag
-         & info [ "no-times" ]
-             ~doc:"Redact the time_ms fields so the row output is \
-                   byte-reproducible across runs.")
-  in
-  let run seed_s smoke list_only deadline_s out no_times =
-    let seed =
-      match seed_s with None -> 42 | Some s -> parse_int ~what:"seed" s
-    in
-    let deadline_ms = Option.map (parse_float ~what:"deadline") deadline_s in
+  let run seed smoke out =
     let recs = Svbench.Corpus.generate ~smoke ~seed () in
-    let doc =
-      if list_only then Svbench.Corpus.instances_to_json ~seed recs
-      else
-        Svbench.Corpus.rows_to_json ~times:(not no_times) ~seed
-          (Svbench.Corpus.run ?deadline_ms recs)
+    let text =
+      Svutil.Json.to_string (Svbench.Corpus.instances_to_json ~seed recs)
     in
-    let text = Svutil.Json.to_string doc in
     match out with None -> print_endline text | Some f -> write_all f text
   in
   Cmd.v
     (Cmd.info "corpus"
        ~doc:"Generate the seeded scenario corpus (five topology families \
              crossed with size, constraint-form and public-fraction axes) \
-             and measure every registered solver on every instance, one \
-             JSON row per (instance, method).")
-    Term.(const run $ seed_opt_arg $ smoke_arg $ list_arg $ deadline_opt_arg
-          $ out_arg $ no_times_arg)
-
-(* tune ------------------------------------------------------------------ *)
-
-let tune_cmd =
-  let rows_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"ROWS" ~doc:"Corpus rows JSON (from $(b,corpus)).")
-  in
-  let margin_arg =
-    Arg.(value & opt (some string) None
-         & info [ "margin" ] ~docv:"FRAC"
-             ~doc:"Promotion margin: the challenger must be at least \
-                   $(docv) faster in held-out geomean (default 0.02).")
-  in
-  let tune_json_arg =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the full fitting verdict as JSON.")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"FILE"
-             ~doc:"Write the winning routing table as JSON to $(docv) \
-                   (loadable with $(b,solve --routing)).")
-  in
-  let check_arg =
-    Arg.(value & opt (some string) None
-         & info [ "check" ] ~docv:"FILE"
-             ~doc:"Verify that $(docv) holds exactly the refit winner and \
-                   that it passes the held-out promotion gate (zero quality \
-                   regressions, geomean no slower than the hand-set \
-                   champion); exit 1 otherwise.")
-  in
-  let run rows_file margin_s json out check =
-    let margin = Option.map (parse_float ~what:"margin") margin_s in
-    let rows =
-      match Svutil.Json.of_string (read_all rows_file) with
-      | Error m -> fail_with (Serve.Request.Parse_error (rows_file ^ ": " ^ m))
-      | Ok j -> (
-          match Svbench.Corpus.rows_of_json j with
-          | Error m ->
-              fail_with (Serve.Request.Parse_error (rows_file ^ ": " ^ m))
-          | Ok rows -> rows)
-    in
-    match check with
-    | Some table_file ->
-        let table = load_routing table_file in
-        let _, problems = Svbench.Tune.check ?margin ~rows table in
-        if problems = [] then
-          print_endline
-            "ok: table is the refit winner and passes the holdout gate"
-        else begin
-          List.iter (Printf.eprintf "error: %s\n") problems;
-          exit 1
-        end
-    | None ->
-        let v = Svbench.Tune.fit ?margin rows in
-        Option.iter
-          (fun f ->
-            write_all f
-              (Svutil.Json.to_string
-                 (Core.Engine.routing_to_json v.Svbench.Tune.v_winner)))
-          out;
-        if json then
-          print_endline
-            (Svutil.Json.to_string (Svbench.Tune.verdict_to_json v))
-        else begin
-          let line label (t : Core.Engine.routing)
-              (e : Svbench.Tune.eval) =
-            Printf.printf "%-10s %-32s holdout geomean %.3f ms, %d regression(s)\n"
-              label t.Core.Engine.r_name e.Svbench.Tune.e_geomean_ms
-              e.Svbench.Tune.e_regressions
-          in
-          line "champion" v.Svbench.Tune.v_champion
-            v.Svbench.Tune.v_champion_holdout;
-          line "challenger" v.Svbench.Tune.v_challenger
-            v.Svbench.Tune.v_challenger_holdout;
-          Printf.printf "%s; winner: %s\n"
-            (if v.Svbench.Tune.v_promoted then "promoted"
-             else "not promoted (champion retained)")
-            v.Svbench.Tune.v_winner.Core.Engine.r_name
-        end
-  in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:"Fit an auto-portfolio routing table from measured corpus rows \
-             by champion/challenger selection: the best zero-regression \
-             candidate on the training split is promoted only if it also \
-             beats the hand-set champion on the held-out split.")
-    Term.(const run $ rows_arg $ margin_arg $ tune_json_arg $ out_arg
-          $ check_arg)
+             and print its instances as one JSON document.")
+    Term.(const run $ corpus_seed_arg $ smoke_arg $ out_arg)
 
 (* tradeoff ----------------------------------------------------------- *)
 
@@ -983,20 +799,24 @@ let () =
   setup_logging (Array.exists (( = ) "--verbose") Sys.argv);
   let argv = Array.of_list (List.filter (( <> ) "--verbose") (Array.to_list Sys.argv)) in
   let doc = "provenance views for module privacy (PODS 2011 reproduction)" in
-  exit
-    (Cmd.eval ~argv
-       (Cmd.group (Cmd.info "secure_view_cli" ~doc)
-          [
-            show_cmd;
-            lint_cmd;
-            analyze_cmd;
-            solve_cmd;
-            batch_cmd;
-            check_cmd;
-            flow_cmd;
-            delta_cmd;
-            serve_cmd;
-            corpus_cmd;
-            tune_cmd;
-            tradeoff_cmd;
-          ]))
+  let code =
+    Cmd.eval ~argv
+      (Cmd.group (Cmd.info "secure_view_cli" ~doc)
+         [
+           show_cmd;
+           lint_cmd;
+           analyze_cmd;
+           solve_cmd;
+           batch_cmd;
+           check_cmd;
+           flow_cmd;
+           delta_cmd;
+           serve_cmd;
+           corpus_cmd;
+           tradeoff_cmd;
+         ])
+  in
+  (* cmdliner answers a malformed option value or an unknown option
+     with its own exit code 124; remap it to 2, the code every other
+     malformed input gets (Serve.Request.Usage). *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -10,8 +10,8 @@
     from the parent's basis with a bounded dual-simplex pass
     ({!Simplex.SOLVER.warm_solve}), and open nodes can be evaluated in
     parallel ({!Svutil.Par}). None of this changes answers: optima are
-    bit-identical to the pre-overhaul depth-first solver, kept as
-    {!Make.solve_reference} for differential testing. *)
+    bit-identical to the pre-overhaul depth-first solver, which the
+    test suite keeps as a differential oracle. *)
 
 type result =
   | Optimal of { objective : Rat.t; values : Rat.t array }
@@ -98,11 +98,6 @@ module Make (_ : Simplex.SOLVER) : sig
     ?fixings:(int * Rat.t) list ->
     Problem.snapshot ->
     result * stats
-
-  val solve_reference : ?node_limit:int -> Problem.snapshot -> result
-  (** The pre-overhaul recursive depth-first solver (cold LP solve per
-      node, fixed [1e-6] snapping tolerance), kept as the oracle for
-      differential tests. *)
 end
 
 module Exact : sig
@@ -127,8 +122,6 @@ module Exact : sig
     ?fixings:(int * Rat.t) list ->
     Problem.snapshot ->
     result * stats
-
-  val solve_reference : ?node_limit:int -> Problem.snapshot -> result
 end
 
 module Fast : sig
@@ -153,8 +146,6 @@ module Fast : sig
     ?fixings:(int * Rat.t) list ->
     Problem.snapshot ->
     result * stats
-
-  val solve_reference : ?node_limit:int -> Problem.snapshot -> result
 end
 
 (** Branch and bound over {!Simplex.Hybrid}: exact optima (identical to
@@ -181,6 +172,4 @@ module Hybrid : sig
     ?fixings:(int * Rat.t) list ->
     Problem.snapshot ->
     result * stats
-
-  val solve_reference : ?node_limit:int -> Problem.snapshot -> result
 end

@@ -383,21 +383,6 @@ let test_infeasible_instance () =
 
 module E = Core.Engine
 
-let test_engine_registry () =
-  let names = List.map snd (E.registered ()) in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "greedy"; "round-card"; "round-set"; "exact"; "brute" ];
-  Alcotest.(check bool) "auto is not a solver" true (E.find E.Auto = None);
-  Alcotest.check_raises "registering auto rejected"
-    (Invalid_argument "Engine.register: Auto is not a solver") (fun () ->
-      E.register E.Auto
-        (module struct
-          let name = "bogus"
-          let solve _ = assert false
-        end : E.Solver_sig))
-
 let wide_instance () =
   (* 26 attributes: one past the brute-force enumeration limit. *)
   let attrs = List.init 26 (fun i -> Printf.sprintf "b%02d" i) in
@@ -406,6 +391,37 @@ let wide_instance () =
     ~mods:
       [ { Inst.m_name = "m"; inputs = attrs; outputs = []; req = Req.Card [ (1, 0) ] } ]
     ()
+
+(* [run] dispatches each concrete method to its own solver and reports
+   it as [method_used]; [Auto] is resolved by [choose] first and never
+   reported itself. *)
+let test_engine_method_used () =
+  let inst = simple_instance () in
+  List.iter
+    (fun m ->
+      let r = E.run { (E.default_request inst) with E.meth = m } in
+      Alcotest.(check string)
+        (E.meth_to_string m ^ " reported as method_used")
+        (E.meth_to_string m)
+        (E.meth_to_string r.E.method_used);
+      match r.E.solution with
+      | Some s ->
+          Alcotest.(check bool) (E.meth_to_string m ^ " feasible") true
+            (Sol.is_feasible inst s)
+      | None -> Alcotest.failf "%s found no solution" (E.meth_to_string m))
+    [ E.Greedy; E.Round_card; E.Round_set; E.Exact; E.Brute ];
+  List.iter
+    (fun (inst, deadline_ms) ->
+      let req = { (E.default_request inst) with E.deadline_ms } in
+      let r = E.run req in
+      Alcotest.(check bool) "auto is never reported" true
+        (r.E.method_used <> E.Auto);
+      Alcotest.(check string) "auto reports the chosen method"
+        (E.meth_to_string (E.choose req))
+        (E.meth_to_string r.E.method_used))
+    (List.concat_map
+       (fun inst -> [ (inst, None); (inst, Some 10.); (inst, Some 100.) ])
+       [ inst; wide_instance () ])
 
 let test_brute_refusal () =
   let inst = wide_instance () in
@@ -685,7 +701,7 @@ let props =
     prop "overhauled ilp matches the reference solver on gadget programs"
       gen_instance (fun (_, inst) ->
         (* Differential oracle for the solver overhaul: the pre-overhaul
-           depth-first solver, kept verbatim as [solve_reference], must
+           depth-first solver, kept as [Ilp_oracle.solve_reference], must
            agree bit-for-bit on the Figure-3 / set-constraint integer
            programs the experiments actually solve. *)
         let ip =
@@ -695,7 +711,7 @@ let props =
           then (Core.Card_lp.build inst).Core.Card_lp.problem
           else (Core.Set_lp.build inst).Core.Set_lp.problem
         in
-        match (Lp.Ilp.Exact.solve ip, Lp.Ilp.Exact.solve_reference ip) with
+        match (Lp.Ilp.Exact.solve ip, Ilp_oracle.solve_reference ip) with
         | Lp.Ilp.Optimal a, Lp.Ilp.Optimal b -> Q.equal a.objective b.objective
         | Lp.Ilp.Infeasible, Lp.Ilp.Infeasible -> true
         | _ -> false);
@@ -856,7 +872,7 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "registry" `Quick test_engine_registry;
+          Alcotest.test_case "method_used" `Quick test_engine_method_used;
           Alcotest.test_case "brute refusal" `Quick test_brute_refusal;
           Alcotest.test_case "deadline on gadget" `Quick test_engine_deadline_gadget;
           Alcotest.test_case "metrics consistency" `Quick test_engine_metrics_consistency;

@@ -1,30 +1,23 @@
-(* Tests for the scenario corpus (bench/corpus.ml) and the routing-table
-   tuner (bench/tune.ml):
+(* Tests for the scenario corpus (bench/corpus.ml) and the [Auto]
+   policy ([Engine.choose]):
 
-   - determinism: one seed fixes the generated instance set and the
-     measured rows (modulo wall-clock fields) byte for byte;
-   - the checked-in artifacts stay consistent: bench/routing.json equals
-     the compiled-in [Engine.fitted_routing], refitting from the
-     checked-in bench/corpus_rows.json reproduces that table, and the
-     winner passes the held-out champion/challenger gate (the PR's
-     acceptance criterion);
-   - champion/challenger fitting on synthetic rows: quality-regressing
-     candidates are rejected however fast they are, and the promotion
-     margin holds back marginal winners;
-   - differential routing properties: [Auto] with the fitted table costs
-     the same as invoking the routed method directly, and no table —
-     fitted, hand-set, or random — ever routes an instance beyond the
-     brute-force limit to brute. *)
+   - determinism: one seed fixes the generated instance set byte for
+     byte;
+   - the policy is pinned: its per-method counts on the seed-42 corpus,
+     and its decisions at every boundary (4 vs 5 attributes, deadlines
+     just under, at and without the 25 ms cut, cardinality vs set form,
+     l_max 3 vs 4);
+   - differential: [Auto] costs the same as invoking the chosen method
+     directly, and reports it as [method_used];
+   - [choose] never picks a method that refuses the instance. *)
 
 module E = Core.Engine
 module C = Svbench.Corpus
-module T = Svbench.Tune
+module G = Svbench.Gen_instances
+module I = Core.Instance
+module Req = Core.Requirement
 module J = Svutil.Json
 module Lx = Svutil.Listx
-
-let base = Filename.dirname Sys.executable_name
-let bench f = Filename.concat base ("../bench/" ^ f)
-let read_all path = In_channel.with_open_bin path In_channel.input_all
 
 let prop ?(count = 100) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
@@ -48,160 +41,76 @@ let test_corpus_shape () =
   let fams = Lx.dedup (List.map (fun (r : C.inst_rec) -> r.C.family) full) in
   Alcotest.(check int) "five topology families" 5 (List.length fams);
   Alcotest.(check int) "ids are unique" (List.length full)
-    (List.length (Lx.dedup (List.map (fun (r : C.inst_rec) -> r.C.id) full)));
-  (* The feature tags must be what the router will recompute. *)
-  List.iter
-    (fun (r : C.inst_rec) ->
-      if E.features_of_instance r.C.inst <> r.C.feats then
-        Alcotest.failf "%s: stored features drift from the extractor" r.C.id)
-    full
+    (List.length (Lx.dedup (List.map (fun (r : C.inst_rec) -> r.C.id) full)))
 
-let test_rows_deterministic () =
-  let recs = Lx.take 10 (C.generate ~smoke:true ~seed:7 ()) in
-  let dump rows = J.to_string (C.rows_to_json ~times:false ~seed:7 rows) in
-  Alcotest.(check string) "rows byte-identical modulo times"
-    (dump (C.run recs))
-    (dump (C.run recs))
+(* The policy ------------------------------------------------------------ *)
 
-let test_rows_roundtrip () =
-  let recs = Lx.take 4 (C.generate ~smoke:true ~seed:5 ()) in
-  let rows = C.run recs in
-  match J.of_string (J.to_string (C.rows_to_json ~seed:5 rows)) with
-  | Error m -> Alcotest.fail m
-  | Ok j -> (
-      match C.rows_of_json j with
-      | Error m -> Alcotest.fail m
-      | Ok rows' ->
-          Alcotest.(check int) "row count" (List.length rows)
-            (List.length rows');
-          List.iter2
-            (fun (a : C.row) (b : C.row) ->
-              Alcotest.(check string) "id" a.C.r_id b.C.r_id;
-              Alcotest.(check string) "method" a.C.r_method b.C.r_method;
-              Alcotest.(check bool) "cost" true (a.C.r_cost = b.C.r_cost);
-              Alcotest.(check bool) "feats" true (a.C.r_feats = b.C.r_feats);
-              Alcotest.(check bool) "proven" a.C.r_proven b.C.r_proven;
-              Alcotest.(check (float 1e-9)) "time" a.C.r_time_ms b.C.r_time_ms)
-            rows rows')
+let method_counts recs deadline_ms =
+  let count m =
+    List.length
+      (List.filter
+         (fun (r : C.inst_rec) ->
+           E.choose { (E.default_request r.C.inst) with E.deadline_ms } = m)
+         recs)
+  in
+  List.map
+    (fun m -> (E.meth_to_string m, count m))
+    [ E.Greedy; E.Round_card; E.Round_set; E.Exact; E.Brute ]
 
-(* Checked-in artifacts ------------------------------------------------- *)
+(* Recorded from the fitted routing table this closed form replaced:
+   the same corpus, the same counts. *)
+let test_corpus_counts () =
+  let full = C.generate ~seed:42 () in
+  let counts = Alcotest.(list (pair string int)) in
+  Alcotest.check counts "no deadline"
+    [
+      ("greedy", 0); ("round-card", 0); ("round-set", 0); ("exact", 358);
+      ("brute", 2);
+    ]
+    (method_counts full None);
+  Alcotest.check counts "10 ms deadline"
+    [
+      ("greedy", 0); ("round-card", 130); ("round-set", 228); ("exact", 0);
+      ("brute", 2);
+    ]
+    (method_counts full (Some 10.))
 
-let checked_in_rows () =
-  match J.of_string (read_all (bench "corpus_rows.json")) with
-  | Error m -> Alcotest.fail ("corpus_rows.json: " ^ m)
-  | Ok j -> (
-      match C.rows_of_json j with
-      | Error m -> Alcotest.fail ("corpus_rows.json: " ^ m)
-      | Ok rows -> rows)
+(* One private module over [n] attributes: the first [n - 1] are inputs,
+   the last the output. [Card] hides one input; [Sets l] offers [l]
+   single-input options. *)
+let one_module n req =
+  let attrs = List.init n (fun i -> Printf.sprintf "a%d" i) in
+  let inputs = Lx.take (n - 1) attrs in
+  let req =
+    match req with
+    | `Card -> Req.Card [ (1, 0) ]
+    | `Sets l -> Req.Sets (List.map (fun a -> ([ a ], [])) (Lx.take l inputs))
+  in
+  I.make
+    ~attr_costs:(List.map (fun a -> (a, Rat.one)) attrs)
+    ~mods:[ { I.m_name = "m"; inputs; outputs = [ List.nth attrs (n - 1) ]; req } ]
+    ()
 
-let test_routing_json_in_sync () =
-  match J.of_string (read_all (bench "routing.json")) with
-  | Error m -> Alcotest.fail ("routing.json: " ^ m)
-  | Ok j -> (
-      match E.routing_of_json j with
-      | Error m -> Alcotest.fail ("routing.json: " ^ m)
-      | Ok t ->
-          Alcotest.(check bool)
-            "bench/routing.json equals Engine.fitted_routing" true
-            (t = E.fitted_routing))
-
-(* The acceptance gate: refitting from the checked-in rows reproduces
-   the compiled-in table, and on the held-out split it is promoted —
-   zero quality regressions and geomean no slower than the hand-set
-   champion. Deterministic: the rows (including times) are data. *)
-let test_refit_reproduces_and_gates () =
-  let rows = checked_in_rows () in
-  let v, problems = T.check ~rows E.fitted_routing in
-  Alcotest.(check (list string)) "check finds no problems" [] problems;
-  Alcotest.(check bool) "fitted table is promoted" true v.T.v_promoted;
-  Alcotest.(check int) "zero holdout quality regressions" 0
-    v.T.v_challenger_holdout.T.e_regressions;
-  Alcotest.(check bool) "holdout geomean no slower than hand-set" true
-    (v.T.v_challenger_holdout.T.e_geomean_ms
-    <= v.T.v_champion_holdout.T.e_geomean_ms)
-
-(* Synthetic fitting ---------------------------------------------------- *)
-
-let mk_feats ?(modules = 2) attrs =
-  {
-    E.f_attrs = attrs;
-    f_modules = modules;
-    f_depth = 1;
-    f_fanout = 1;
-    f_lmax = 1;
-    f_card_frac = 1.0;
-    f_public_frac = 0.0;
-  }
-
-let mk_row id attrs m ~cost ~proven ~time =
-  {
-    C.r_id = id;
-    r_family = "synthetic";
-    r_method = m;
-    r_feats = mk_feats attrs;
-    r_cost = Option.map Rat.of_int cost;
-    r_proven = proven;
-    r_refused = cost = None;
-    r_time_ms = time;
-  }
-
-(* Brute is proven-optimal everywhere but only cheap up to 6 attributes;
-   greedy and the rounders are fastest of all but lose quality. A sound
-   tuner must pick the 6-attribute brute cut and reject the all-greedy /
-   all-rounding challengers however fast they look. *)
-let synthetic_rows n =
-  List.concat
-    (List.init n (fun i ->
-         let attrs = 3 + (i mod 12) in
-         let id = Printf.sprintf "syn%02d" i in
-         let brute_time = if attrs <= 6 then 0.01 else 50.0 in
-         [
-           mk_row id attrs "greedy" ~cost:(Some 2) ~proven:false ~time:0.001;
-           mk_row id attrs "round-card" ~cost:(Some 2) ~proven:false
-             ~time:0.002;
-           mk_row id attrs "round-set" ~cost:(Some 2) ~proven:false
-             ~time:0.002;
-           mk_row id attrs "exact" ~cost:(Some 1) ~proven:true ~time:1.0;
-           mk_row id attrs "brute" ~cost:(Some 1) ~proven:true
-             ~time:brute_time;
-         ]))
-
-let test_fit_synthetic () =
-  let v = T.fit (synthetic_rows 48) in
-  Alcotest.(check string) "picks the 6-attribute brute cut"
-    "fitted(brute attrs<=6)" v.T.v_challenger.E.r_name;
-  Alcotest.(check bool) "promoted" true v.T.v_promoted;
-  Alcotest.(check int) "no train regressions" 0
-    v.T.v_challenger_train.T.e_regressions;
-  Alcotest.(check string) "winner is the challenger"
-    v.T.v_challenger.E.r_name v.T.v_winner.E.r_name
-
-(* Brute is uniformly 1% faster than exact on instances too big for the
-   hand-set brute rule: a real but sub-margin win. The 2% default
-   margin must hold the champion; a smaller margin promotes. *)
-let marginal_rows n =
-  List.concat
-    (List.init n (fun i ->
-         let attrs = 11 + (i mod 4) in
-         let id = Printf.sprintf "mar%02d" i in
-         [
-           mk_row id attrs "greedy" ~cost:(Some 2) ~proven:false ~time:0.5;
-           mk_row id attrs "round-card" ~cost:(Some 2) ~proven:false ~time:0.5;
-           mk_row id attrs "round-set" ~cost:(Some 2) ~proven:false ~time:0.5;
-           mk_row id attrs "exact" ~cost:(Some 1) ~proven:true ~time:1.0;
-           mk_row id attrs "brute" ~cost:(Some 1) ~proven:true ~time:0.99;
-         ]))
-
-let test_fit_margin_holds_champion () =
-  let rows = marginal_rows 40 in
-  let v = T.fit rows in
-  Alcotest.(check bool) "sub-margin challenger is not promoted" false
-    v.T.v_promoted;
-  Alcotest.(check string) "champion retained" "hand-set" v.T.v_winner.E.r_name;
-  let v' = T.fit ~margin:0.005 rows in
-  Alcotest.(check bool) "smaller margin promotes" true v'.T.v_promoted
-
-(* Routing properties --------------------------------------------------- *)
+let test_choose_boundaries () =
+  let check what expected inst deadline_ms =
+    Alcotest.(check string) what (E.meth_to_string expected)
+      (E.meth_to_string
+         (E.choose { (E.default_request inst) with E.deadline_ms }))
+  in
+  let card4 = one_module 4 `Card and card5 = one_module 5 `Card in
+  check "4 attrs, no deadline: brute" E.Brute card4 None;
+  check "4 attrs, tight deadline: brute" E.Brute card4 (Some 24.99);
+  check "5 attrs, no deadline: exact" E.Exact card5 None;
+  check "5 attrs card, 24.99 ms: round-card" E.Round_card card5 (Some 24.99);
+  check "5 attrs card, 25 ms: exact" E.Exact card5 (Some 25.);
+  let sets3 = one_module 5 (`Sets 3) and sets4 = one_module 5 (`Sets 4) in
+  check "sets l_max 3, 24.99 ms: round-set" E.Round_set sets3 (Some 24.99);
+  check "sets l_max 4, 24.99 ms: greedy" E.Greedy sets4 (Some 24.99);
+  check "sets l_max 4, 25 ms: exact" E.Exact sets4 (Some 25.);
+  check "sets l_max 4, no deadline: exact" E.Exact sets4 None;
+  (* One cardinality module is not enough for Algorithm 1. *)
+  let mixed = G.disjoint_union [ card5; sets3 ] in
+  check "mixed forms, 24.99 ms: round-set" E.Round_set mixed (Some 24.99)
 
 let smoke_pool =
   lazy (Array.of_list (C.generate ~smoke:true ~seed:42 ()))
@@ -224,96 +133,59 @@ let differential_prop =
       | None, None -> true
       | _ -> false)
 
-let gen_cmp = QCheck2.Gen.oneofl [ E.Le; E.Lt; E.Gt; E.Ge ]
-
-let gen_meth_any =
-  QCheck2.Gen.oneofl
-    [ E.Auto; E.Greedy; E.Round_card; E.Round_set; E.Exact; E.Brute ]
-
-let gen_threshold =
+(* Random instances in cardinality, set (l_max 1..6) and mixed form,
+   from 1 to 6 modules. *)
+let gen_instance =
   QCheck2.Gen.(
-    map2
-      (fun m e -> float_of_int m *. (10. ** float_of_int e))
-      (int_range (-1000) 1000) (int_range (-3) 3))
+    let* seed = int_range 0 1_000_000 in
+    let* n_modules = int_range 1 6 in
+    let* form = int_range 0 2 in
+    let* lmax = int_range 1 6 in
+    let rng = Svutil.Rng.create seed in
+    let shape =
+      { G.default_shape with G.n_modules; max_inputs = 3; max_outputs = 2 }
+    in
+    return
+      (match form with
+      | 0 -> G.random_card rng shape
+      | 1 -> G.random_sets rng shape ~lmax
+      | _ ->
+          G.disjoint_union
+            [ G.random_card rng shape; G.random_sets rng shape ~lmax ]))
 
-let gen_guard =
-  QCheck2.Gen.(
-    map2
-      (fun (f, c) v -> { E.g_feat = f; g_cmp = c; g_val = v })
-      (pair (oneofl E.feature_names) gen_cmp)
-      gen_threshold)
+(* Brute refuses more than [Exact.brute_force_limit] attributes and
+   Algorithm 1 refuses any set-form module; [choose] must respect both,
+   and running what it picks must not be refused. *)
+let never_refused_prop =
+  prop ~count:300 "choose never picks a refusing method"
+    QCheck2.Gen.(pair gen_instance (option (float_range 0. 100.)))
+    (fun (inst, deadline_ms) ->
+      let req = { (E.default_request inst) with E.deadline_ms } in
+      let m = E.choose req in
+      let not_refused () =
+        not (List.mem_assoc "refused" (E.run { req with E.meth = m }).E.stats)
+      in
+      match m with
+      | E.Auto -> false
+      | E.Brute ->
+          List.length (I.attrs inst) <= Core.Exact.brute_force_limit
+          && not_refused ()
+      | E.Round_card -> Core.Exact.all_cardinality inst && not_refused ()
+      | E.Greedy | E.Round_set | E.Exact -> true)
 
-let gen_table_of gen_meth =
-  QCheck2.Gen.(
-    map
-      (fun rules ->
-        {
-          E.r_name = "random";
-          rules =
-            List.map (fun (gs, m) -> { E.guards = gs; route = m }) rules;
-        })
-      (list_size (int_range 0 5)
-         (pair (list_size (int_range 0 2) gen_guard) gen_meth)))
-
-(* Extends the PR-4 refusal tests: whatever the table says — including
-   rules that name brute or auto outright — the clamps keep instances
-   beyond the brute-force limit off brute, and [route] never answers
-   [Auto]. *)
-let never_brute_prop =
-  prop ~count:300 "no table routes >25-attr instances to brute"
+(* The random instances above stay small; past the brute-force limit
+   [choose] must pick branch and bound or, under a tight deadline, a
+   rounding method or greedy. *)
+let wide_off_brute_prop =
+  prop ~count:100 "choose keeps wide instances off brute"
     QCheck2.Gen.(
-      triple (gen_table_of gen_meth_any)
+      triple
         (int_range (Core.Exact.brute_force_limit + 1) 80)
+        (oneofl [ `Card; `Sets 3; `Sets 4 ])
         (option (float_range 0. 100.)))
-    (fun (table, attrs, deadline_ms) ->
-      let m = E.route table (mk_feats attrs) ~deadline_ms in
-      m <> E.Brute && m <> E.Auto)
-
-let fitted_never_brute =
-  prop ~count:100 "fitted and hand-set tables respect the brute limit"
-    QCheck2.Gen.(
-      pair (int_range (Core.Exact.brute_force_limit + 1) 200) bool)
-    (fun (attrs, hand) ->
-      let table = if hand then E.hand_set_routing else E.fitted_routing in
-      E.route table (mk_feats attrs) ~deadline_ms:None <> E.Brute)
-
-let gen_meth_concrete =
-  QCheck2.Gen.oneofl
-    [ E.Greedy; E.Round_card; E.Round_set; E.Exact; E.Brute ]
-
-let routing_json_roundtrip =
-  prop ~count:200 "routing tables round-trip through Svutil.Json"
-    (gen_table_of gen_meth_concrete)
-    (fun table ->
-      match
-        E.routing_of_json
-          (Result.get_ok (J.of_string (J.to_string (E.routing_to_json table))))
-      with
-      | Ok t -> t = table
-      | Error _ -> false)
-
-let test_clamps () =
-  (* Round_card on a set-form instance is clamped to Round_set. *)
-  let sets = { (mk_feats 30) with E.f_card_frac = 0.5 } in
-  let card_table =
-    { E.r_name = "t"; rules = [ { E.guards = []; route = E.Round_card } ] }
-  in
-  Alcotest.(check string) "round-card clamps to round-set on sets"
-    "round-set"
-    (E.meth_to_string (E.route card_table sets ~deadline_ms:None));
-  (* An empty table falls through to the hand-set strategy. *)
-  let empty = { E.r_name = "empty"; rules = [] } in
-  Alcotest.(check string) "empty table falls through to hand-set (brute)"
-    "brute"
-    (E.meth_to_string (E.route empty (mk_feats 4) ~deadline_ms:None));
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  let m, why = E.route_explain empty (mk_feats 4) ~deadline_ms:None in
-  Alcotest.(check bool) "explain names the fall-through" true
-    (m = E.Brute && contains why "fall-through")
+    (fun (n, form, deadline_ms) ->
+      let req = { (E.default_request (one_module n form)) with E.deadline_ms } in
+      match E.choose req with E.Brute | E.Auto -> false | _ -> true)
 
 let () =
   Alcotest.run "corpus"
@@ -323,30 +195,13 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_generate_deterministic;
           Alcotest.test_case "shape" `Quick test_corpus_shape;
         ] );
-      ( "run",
-        [
-          Alcotest.test_case "rows deterministic" `Quick test_rows_deterministic;
-          Alcotest.test_case "rows JSON round-trip" `Quick test_rows_roundtrip;
-        ] );
-      ( "artifacts",
-        [
-          Alcotest.test_case "routing.json in sync" `Quick
-            test_routing_json_in_sync;
-          Alcotest.test_case "refit reproduces and passes the gate" `Quick
-            test_refit_reproduces_and_gates;
-        ] );
-      ( "tune",
-        [
-          Alcotest.test_case "synthetic fit" `Quick test_fit_synthetic;
-          Alcotest.test_case "promotion margin" `Quick
-            test_fit_margin_holds_champion;
-        ] );
       ( "routing",
         [
+          Alcotest.test_case "pinned corpus method counts" `Quick
+            test_corpus_counts;
+          Alcotest.test_case "choose boundaries" `Quick test_choose_boundaries;
           differential_prop;
-          never_brute_prop;
-          fitted_never_brute;
-          routing_json_roundtrip;
-          Alcotest.test_case "clamps and fall-through" `Quick test_clamps;
+          never_refused_prop;
+          wide_off_brute_prop;
         ] );
     ]

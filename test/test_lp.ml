@@ -438,7 +438,7 @@ let test_exact_zero_tolerance () =
       check_q "exact optimum" Q.zero objective;
       check_q "exact point" Q.zero values.(0)
   | _ -> Alcotest.fail "expected optimal");
-  match Lp.Ilp.Exact.solve_reference s with
+  match Ilp_oracle.solve_reference s with
   | Lp.Ilp.Optimal { objective; _ } ->
       check_q "reference keeps the historic snapping bug" Q.minus_one objective
   | _ -> Alcotest.fail "expected optimal"
@@ -578,7 +578,7 @@ let hybrid_props =
     prop "hybrid branch and bound agrees with the reference solver"
       gen_bounded_lp (fun s ->
         let s' = P.all_integer s in
-        match (Lp.Ilp.Hybrid.solve s', Lp.Ilp.Exact.solve_reference s') with
+        match (Lp.Ilp.Hybrid.solve s', Ilp_oracle.solve_reference s') with
         | Lp.Ilp.Optimal a, Lp.Ilp.Optimal b -> Q.equal a.objective b.objective
         | Lp.Ilp.Infeasible, Lp.Ilp.Infeasible -> true
         | Lp.Ilp.Unbounded, Lp.Ilp.Unbounded -> true
@@ -593,7 +593,7 @@ let hybrid_props =
             s.P.ub
         in
         let s' = P.all_integer (P.with_bounds s ~lb:s.P.lb ~ub) in
-        match (Lp.Ilp.Hybrid.solve s', Lp.Ilp.Exact.solve_reference s') with
+        match (Lp.Ilp.Hybrid.solve s', Ilp_oracle.solve_reference s') with
         | Lp.Ilp.Optimal a, Lp.Ilp.Optimal b -> Q.equal a.objective b.objective
         | Lp.Ilp.Infeasible, Lp.Ilp.Infeasible -> true
         | Lp.Ilp.Unbounded, Lp.Ilp.Unbounded -> true
@@ -654,11 +654,11 @@ let props =
         | Lp.Simplex.Unbounded, Lp.Simplex.Unbounded -> true
         | _ -> false);
     prop "overhauled ilp agrees with the reference solver" gen_bounded_lp (fun s ->
-        (* The pre-overhaul depth-first solver is kept verbatim as
-           [solve_reference]; presolve, warm starts, best-first search
+        (* The pre-overhaul depth-first solver is kept as
+           [Ilp_oracle.solve_reference]; presolve, warm starts, best-first search
            and seeding must change time, never answers. *)
         let s' = P.all_integer s in
-        match (Lp.Ilp.Exact.solve s', Lp.Ilp.Exact.solve_reference s') with
+        match (Lp.Ilp.Exact.solve s', Ilp_oracle.solve_reference s') with
         | Lp.Ilp.Optimal a, Lp.Ilp.Optimal b -> Q.equal a.objective b.objective
         | Lp.Ilp.Infeasible, Lp.Ilp.Infeasible -> true
         | Lp.Ilp.Unbounded, Lp.Ilp.Unbounded -> true

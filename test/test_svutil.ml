@@ -140,8 +140,7 @@ let test_deadline_expiry () =
 
 module Json = Svutil.Json
 
-(* The routing-table serializer (Engine.routing_to_json) writes guard
-   thresholds as Num floats; integer-valued cuts like 8. and tiny
+(* Numbers are written as Num floats; integer values like 8. and tiny
    fractions like 1e-07 must survive to_string/of_string unchanged. *)
 let test_json_numbers () =
   let p f = Json.number_to_string f in
