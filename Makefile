@@ -112,10 +112,12 @@ delta-examples:
 # scratch and fails the request on optimum drift). Asserts the expected
 # hit/miss counts — including a hit on a bijectively renamed inline
 # resubmission — and that two fresh runs produce byte-identical output.
+# The stderr dump must show requirement-memo hits, and replaying the
+# renamed resubmission after fig1 must add memo hits but no misses.
 serve-examples:
 	dune build bin/secure_view_cli.exe
 	@./_build/default/bin/secure_view_cli.exe serve --verify-hits \
-	  < examples/serve/session.jsonl 2>/dev/null > /tmp/serve_run1.out
+	  < examples/serve/session.jsonl 2>/tmp/serve_run1.err > /tmp/serve_run1.out
 	@./_build/default/bin/secure_view_cli.exe serve --verify-hits \
 	  < examples/serve/session.jsonl 2>/dev/null > /tmp/serve_run2.out
 	@cmp /tmp/serve_run1.out /tmp/serve_run2.out \
@@ -127,7 +129,22 @@ serve-examples:
 	  || { echo "FAIL: unexpected hit/miss counts"; cat /tmp/serve_run1.out; exit 1; }
 	@grep -c '"ok":true' /tmp/serve_run1.out | grep -qx 10 \
 	  || { echo "FAIL: expected 10 ok responses"; cat /tmp/serve_run1.out; exit 1; }
-	@echo "ok: serve session (byte-identical runs, 3 hits / 2 misses, hits verified)"
+	@grep -q '^serve derive-memo {"hits":[1-9]' /tmp/serve_run1.err \
+	  || { echo "FAIL: no requirement-memo hit"; cat /tmp/serve_run1.err; exit 1; }
+	@grep -e '"id":"fig1-cold"' examples/serve/session.jsonl \
+	  | ./_build/default/bin/secure_view_cli.exe serve 2>&1 >/dev/null \
+	  | grep '^serve derive-memo' > /tmp/serve_memo1.err
+	@grep -e '"id":"fig1-cold"' -e '"id":"fig1-renamed"' examples/serve/session.jsonl \
+	  | ./_build/default/bin/secure_view_cli.exe serve 2>&1 >/dev/null \
+	  | grep '^serve derive-memo' > /tmp/serve_memo2.err
+	@m1=$$(grep -o '"misses":[0-9]*' /tmp/serve_memo1.err); \
+	 m2=$$(grep -o '"misses":[0-9]*' /tmp/serve_memo2.err); \
+	 h1=$$(grep -o '"hits":[0-9]*' /tmp/serve_memo1.err | cut -d: -f2); \
+	 h2=$$(grep -o '"hits":[0-9]*' /tmp/serve_memo2.err | cut -d: -f2); \
+	 [ -n "$$m1" ] && [ "$$m1" = "$$m2" ] && [ "$$h2" -gt "$$h1" ] \
+	  || { echo "FAIL: renamed resubmission missed the requirement memo"; \
+	       cat /tmp/serve_memo1.err /tmp/serve_memo2.err; exit 1; }
+	@echo "ok: serve session (byte-identical runs, 3 hits / 2 misses, hits verified, renamed modules hit the requirement memo)"
 
 clean:
 	dune clean

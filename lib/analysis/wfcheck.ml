@@ -103,7 +103,9 @@ let compare_diagnostic a b =
 
 let builtin_names = [ "identity"; "negate"; "constant"; "majority"; "and"; "or"; "xor" ]
 
-let check_raw (raw : P.raw) : diagnostic list =
+(* [spec], when given, is the elaboration of [raw]; the flow stage
+   uses it instead of elaborating again. *)
+let check ?spec (raw : P.raw) : diagnostic list =
   let diags = ref [] in
   let emit ?(line = 0) ~subject code fmt =
     Printf.ksprintf
@@ -505,7 +507,8 @@ let check_raw (raw : P.raw) : diagnostic list =
   if structurally_sound && (not (has_errors !diags)) && not (seen "W040")
      && not (seen "W041")
   then begin
-    match P.spec_of_raw raw with
+    let elaborated = match spec with Some s -> Ok s | None -> P.spec_of_raw raw in
+    match elaborated with
     | Error _ -> ()
     | Ok spec ->
         let module_line name =
@@ -536,7 +539,8 @@ let check_raw (raw : P.raw) : diagnostic list =
 
   List.sort compare_diagnostic !diags
 
-let check_spec (spec : P.spec) = check_raw spec.P.raw
+let check_raw raw = check raw
+let check_spec (spec : P.spec) = check ~spec spec.P.raw
 
 (* ------------------------------------------------------------------ *)
 (* Linting built workflows (no source text)                            *)

@@ -54,7 +54,9 @@ val check_raw : Wf.Parse.raw -> diagnostic list
 
 val check_spec : Wf.Parse.spec -> diagnostic list
 (** [check_raw] on the declarations the spec was parsed from — the
-    pre-flight used by the CLI's [analyze]/[solve]/[check]. *)
+    pre-flight used by the CLI's [analyze]/[solve]/[check] and by serve.
+    The flow stage reuses the given spec rather than elaborating the
+    declarations a second time. *)
 
 val raw_of_workflow :
   ?publics:(string * Rat.t) list ->

@@ -39,12 +39,72 @@ let exact_of_table t =
   let all, any = profiles t in
   if all = any then Some (card_of_profiles all) else None
 
-let of_table t =
-  match exact_of_table t with
+(* The cardinality form is name-free; the set form is read off the
+   table under the module's own names. *)
+let of_exact t = function
   | Some card when card <> [] -> Requirement.Card card
   | _ -> Requirement.Sets (sets_of_table t)
+
+let of_table t = of_exact t (exact_of_table t)
 
 let sets_requirement m ~gamma = sets_of_table (Table.build m ~gamma)
 let sound_cardinality m ~gamma = card_of_profiles (fst (profiles (Table.build m ~gamma)))
 let exact_cardinality m ~gamma = exact_of_table (Table.build m ~gamma)
 let requirement m ~gamma = of_table (Table.build m ~gamma)
+
+module Memo = struct
+  type stats = { hits : int; misses : int; evictions : int; skipped : int; size : int }
+
+  let capacity = 256
+  let max_entry_bytes = 32 * 1024
+
+  type entry = { decisions : Table.decisions; exact : Requirement.cardinality option }
+
+  type state = {
+    lru : entry Svutil.Lru.t;
+    mutable hits : int;
+    mutable misses : int;
+    mutable skipped : int;
+  }
+
+  let fresh () = { lru = Svutil.Lru.create capacity; hits = 0; misses = 0; skipped = 0 }
+  let local = Svutil.Par.domain_local (fun () -> ref (fresh ()))
+  let clear () = local () := fresh ()
+
+  let stats () =
+    let st = !(local ()) in
+    {
+      hits = st.hits;
+      misses = st.misses;
+      evictions = Svutil.Lru.evictions st.lru;
+      skipped = st.skipped;
+      size = Svutil.Lru.length st.lru;
+    }
+
+  (* An entry costs its key plus one status byte per mask. The key has
+     at least one byte per table cell, so the bound is tested before the
+     key is built; past 25 attributes [requirement] raises as before. *)
+  let requirement m ~gamma =
+    let st = !(local ()) in
+    let k = M.arity m in
+    let bound key_bytes = k <= 25 && (1 lsl k) + key_bytes <= max_entry_bytes in
+    let uncached () =
+      st.skipped <- st.skipped + 1;
+      requirement m ~gamma
+    in
+    if not (bound (k * Rel.Relation.size m.M.table)) then uncached ()
+    else
+      let key = Table.key m ~gamma in
+      if not (bound (String.length key)) then uncached ()
+      else
+        match Svutil.Lru.find st.lru key with
+        | Some e ->
+            st.hits <- st.hits + 1;
+            of_exact (Table.rebind e.decisions m) e.exact
+        | None ->
+            st.misses <- st.misses + 1;
+            let t = Table.build m ~gamma in
+            let exact = exact_of_table t in
+            Svutil.Lru.add st.lru key { decisions = Table.decisions t; exact };
+            of_exact t exact
+end

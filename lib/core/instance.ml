@@ -54,7 +54,7 @@ let of_workflow w ~gamma ?(gamma_overrides = []) ~cost ?(publics = []) () =
              m_name = m.Wf.Wmodule.name;
              inputs = Wf.Wmodule.input_names m;
              outputs = Wf.Wmodule.output_names m;
-             req = Derive.requirement m ~gamma:(gamma_of m.Wf.Wmodule.name);
+             req = Derive.Memo.requirement m ~gamma:(gamma_of m.Wf.Wmodule.name);
            })
   in
   let publics =

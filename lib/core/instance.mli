@@ -37,11 +37,18 @@ val of_workflow :
   ?publics:(string * Rat.t) list ->
   unit ->
   t
-(** Derive requirement lists from the module tables via {!Derive} for
-    every module not listed in [publics]; public modules contribute
-    privatization costs instead. [gamma_overrides] assigns individual
-    privacy requirements to named modules (the paper's remark after
-    Definition 5: different modules may have different [Gamma_i]). *)
+(** Derive requirement lists from the module tables for every module
+    not listed in [publics]; public modules contribute privatization
+    costs instead. [gamma_overrides] assigns individual privacy
+    requirements to named modules (the paper's remark after
+    Definition 5: different modules may have different [Gamma_i]).
+
+    Each requirement comes from {!Derive.Memo.requirement}, so a module
+    whose content (relation, domains and [Gamma]) was derived recently
+    in this domain is not derived again, even under other names or in
+    another workflow. The answer equals a fresh {!Derive.requirement}
+    per module, list order included, because the name-dependent part
+    of the derivation reruns on every hit. *)
 
 val attrs : t -> string list
 val attr_cost : t -> string -> Rat.t

@@ -108,6 +108,39 @@ module Table = struct
     done;
     { wmodule = m; attrs; status; checks = !checks }
 
+  (* Unsigned LEB128 of the int's bit pattern: self-delimiting, so the
+     concatenation below decodes uniquely given its counts. *)
+  let rec put_varint b n =
+    if n land lnot 0x7f = 0 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (n land 0x7f lor 0x80));
+      put_varint b (n lsr 7)
+    end
+
+  let key m ~gamma =
+    let b = Buffer.create 64 in
+    let put = put_varint b in
+    let doms attrs =
+      put (List.length attrs);
+      List.iter (fun a -> put (A.dom a)) attrs
+    in
+    put gamma;
+    doms m.M.inputs;
+    doms m.M.outputs;
+    put (R.size m.M.table);
+    R.iter m.M.table ~f:(Array.iter put);
+    Buffer.contents b
+
+  type decisions = { d_status : Bytes.t; d_checks : int }
+
+  let decisions t = { d_status = t.status; d_checks = t.checks }
+
+  let rebind d m =
+    let attrs = M.attr_names m in
+    if 1 lsl List.length attrs <> Bytes.length d.d_status then
+      invalid_arg "Standalone.Table.rebind: arity mismatch";
+    { wmodule = m; attrs; status = d.d_status; checks = d.d_checks }
+
   let wmodule t = t.wmodule
   let attrs t = t.attrs
   let size t = Bytes.length t.status

@@ -87,6 +87,34 @@ module Table : sig
 
   val minimal : t -> string list list
   (** {!minimal_hidden_subsets}, read off the table. *)
+
+  (** {2 Reuse across modules}
+
+      {!build} reads the relation and [gamma] only through attribute
+      positions: which mask is safe depends on [gamma], the domains of
+      the inputs and outputs in order and the set of rows, never on the
+      module or attribute names. So a table built for one module is the
+      table of every module with the same content. {!Core.Derive.Memo}
+      keeps the name-free part of recent tables under {!key} and
+      re-binds a hit to the asking module with {!rebind}. *)
+
+  val key : Wf.Wmodule.t -> gamma:int -> string
+  (** Exactly the content {!build} reads, as bytes: [gamma], the input
+      domains, the output domains and the sorted rows, in an injective
+      variable-length encoding (equal keys imply equal content; no
+      hashing). About one byte per table cell for small domains. *)
+
+  type decisions
+  (** The name-free part of a table: the status of every mask and the
+      check count. Holds no module or relation. *)
+
+  val decisions : t -> decisions
+
+  val rebind : decisions -> Wf.Wmodule.t -> t
+  (** The table of a module whose {!key} equals that of the module the
+      decisions were built for: same statuses and {!checks}, with
+      {!wmodule} and {!attrs} taken from the new module.
+      @raise Invalid_argument if the arities differ. *)
 end
 
 val minimal_hidden_subsets : Wf.Wmodule.t -> gamma:int -> string list list

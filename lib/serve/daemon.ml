@@ -52,9 +52,23 @@ let stats_json t =
       ("capacity", string_of_int (Cache.capacity t.cache));
     ]
 
+(* The requirement memo of the serving domain, where every request is
+   derived. *)
+let memo_json () =
+  let s = Core.Derive.Memo.stats () in
+  Response.assoc
+    [
+      ("hits", string_of_int s.Core.Derive.Memo.hits);
+      ("misses", string_of_int s.Core.Derive.Memo.misses);
+      ("evictions", string_of_int s.Core.Derive.Memo.evictions);
+      ("skipped", string_of_int s.Core.Derive.Memo.skipped);
+      ("size", string_of_int s.Core.Derive.Memo.size);
+      ("capacity", string_of_int Core.Derive.Memo.capacity);
+    ]
+
 let dump_stats t oc =
-  Printf.fprintf oc "serve stats %s\nserve metrics %s\n%!" (stats_json t)
-    (Metrics.to_json t.cfg.metrics)
+  Printf.fprintf oc "serve stats %s\nserve metrics %s\nserve derive-memo %s\n%!"
+    (stats_json t) (Metrics.to_json t.cfg.metrics) (memo_json ())
 
 (* Differential verification of a cache hit: re-solve the same request
    from scratch (fresh nop registry, no cache) and require the same

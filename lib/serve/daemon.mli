@@ -55,8 +55,11 @@ val serve_channels : t -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
     every response. *)
 
 val dump_stats : t -> out_channel -> unit
-(** The SIGUSR1/shutdown dump: one [serve stats {…}] line and one
-    [serve metrics {…}] line. *)
+(** The SIGUSR1/shutdown dump: one [serve stats {…}] line, one
+    [serve metrics {…}] line and one [serve derive-memo {…}] line with
+    the hits, misses, evictions, skipped entries, size and capacity of
+    {!Core.Derive.Memo} in the serving domain. The [stats] op reports
+    only the first. *)
 
 val run_stdio : config -> unit
 (** Serve stdin → stdout; installs the SIGUSR1 handler and dumps stats

@@ -4,7 +4,10 @@ type t = float
 
 exception Expired
 
-let now_ms () = Unix.gettimeofday () *. 1000.
+external now_ms : unit -> (float[@unboxed])
+  = "sv_monotonic_ms_byte" "sv_monotonic_ms"
+[@@noalloc]
+
 let none = infinity
 let is_none t = t = infinity
 let after_ms budget = now_ms () +. budget

@@ -38,6 +38,7 @@ val remaining_ms : t -> float option
 (** Milliseconds left, clamped at [0.]; [None] for {!none}. *)
 
 val now_ms : unit -> float
-(** The solver clock, in milliseconds. Monotonic where the platform
-    provides it ([Unix.gettimeofday] otherwise — adjustments are
-    harmless at the tens-of-milliseconds budgets used here). *)
+(** The solver clock, in milliseconds: [CLOCK_MONOTONIC], read through
+    a C stub. It never decreases and does not step when the wall clock
+    is adjusted; its origin is unspecified, so only differences mean
+    anything. Every {!Metrics} span is timed with it. *)

@@ -24,3 +24,10 @@ val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     calling domain. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+
+val domain_local : (unit -> 'a) -> unit -> 'a
+(** [domain_local init] is a getter for state private to the calling
+    domain: the first call in each domain runs [init] and later calls
+    in that domain return the same value. Lets a cache sit under code
+    that {!map} may run on several workers without locking. In the
+    sequential fallback there is one domain, so one shared value. *)

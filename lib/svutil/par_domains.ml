@@ -41,3 +41,7 @@ let map_array ?jobs f xs =
   end
 
 let map ?jobs f l = Array.to_list (map_array ?jobs f (Array.of_list l))
+
+let domain_local init =
+  let key = Domain.DLS.new_key init in
+  fun () -> Domain.DLS.get key

@@ -6,3 +6,7 @@ let available = false
 let default_jobs () = 1
 let map_array ?jobs:_ f xs = Array.map f xs
 let map ?jobs:_ f l = List.map f l
+
+let domain_local init =
+  let v = lazy (init ()) in
+  fun () -> Lazy.force v

@@ -32,6 +32,25 @@ let test_clean () =
        (fun (d : C.diagnostic) -> d.C.code)
        (C.check_workflow ~gamma:2 (Wf.Library.fig1_workflow ())))
 
+(* The pre-flight on an elaborated spec reuses it for the flow stage; its
+   diagnostics must be those of linting the declarations alone. *)
+let test_check_spec_matches_raw () =
+  let dir d = List.map (Filename.concat d) (Array.to_list (Sys.readdir d)) in
+  let specs =
+    List.filter (fun f -> Filename.check_suffix f ".swf")
+      (dir "../examples" @ dir "../examples/bad")
+  in
+  let elaborated = ref 0 in
+  List.iter
+    (fun file ->
+      match P.parse_file file with
+      | Error _ -> ()
+      | Ok spec ->
+          incr elaborated;
+          Alcotest.(check bool) file true (C.check_spec spec = C.check_raw spec.P.raw))
+    specs;
+  Alcotest.(check bool) "W050/W051 fixtures elaborate" true (!elaborated >= 4)
+
 (* --- one fixture per code --------------------------------------------- *)
 
 let test_wiring () =
@@ -214,6 +233,7 @@ let () =
           Alcotest.test_case "blow-up W04x" `Quick test_blowup;
           Alcotest.test_case "rendering" `Quick test_rendering;
           Alcotest.test_case "code reference" `Quick test_code_reference_consistent;
+          Alcotest.test_case "check_spec = check_raw" `Quick test_check_spec_matches_raw;
         ] );
       ("properties", props);
     ]

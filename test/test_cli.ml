@@ -272,6 +272,36 @@ let test_batch_no_metrics_by_default () =
   let result = member "batch line" "result" doc in
   Alcotest.(check bool) "no metrics key" false (has_key "metrics" result)
 
+(* Drop every ["timings_ms":{...}] object (flat, no nested braces). *)
+let strip_timings s =
+  let tag = "\"timings_ms\":{" in
+  let n = String.length s and k = String.length tag in
+  let b = Buffer.create n in
+  let rec go i =
+    if i >= n then ()
+    else if i + k <= n && String.sub s i k = tag then
+      go (String.index_from s (i + k) '}' + 1)
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let test_batch_jobs_independent () =
+  (* Each worker domain derives through its own requirement memo; the
+     answers must not depend on how files are spread over workers. *)
+  let files =
+    List.map example [ "fig1.swf"; "genomics.swf"; "fig1.swf"; "genomics.swf"; "fig1.swf" ]
+  in
+  let run jobs = run_cli ("batch" :: files @ [ "--jobs"; jobs ]) in
+  let ok1, out1 = run "1" and ok4, out4 = run "4" in
+  Alcotest.(check (pair bool bool)) "both exit 0" (true, true) (ok1, ok4);
+  Alcotest.(check bool) "timings present" true (strip_timings out1 <> out1);
+  Alcotest.(check string) "--jobs 4 = --jobs 1, modulo timings_ms"
+    (strip_timings out1) (strip_timings out4)
+
 (* ------------------------------------------------------------------ *)
 (* Exit codes (the Serve.Request mapping, uniform across subcommands)  *)
 (* ------------------------------------------------------------------ *)
@@ -480,6 +510,7 @@ let () =
           Alcotest.test_case "metrics off by default" `Quick
             test_batch_no_metrics_by_default;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
+          Alcotest.test_case "--jobs 4 = --jobs 1" `Quick test_batch_jobs_independent;
         ] );
       ( "delta",
         [

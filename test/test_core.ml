@@ -117,6 +117,7 @@ let test_derive_universe_limit () =
       ~defined_on:[ Array.make n 0 ]
       (fun _ -> [| 0 |])
   in
+  let w = Wf.Workflow.create_exn [ m ] in
   let refusal f =
     let before = Gc.allocated_bytes () in
     let msg = match f () with () -> None | exception Invalid_argument msg -> Some msg in
@@ -136,11 +137,83 @@ let test_derive_universe_limit () =
       ("sound", fun () -> ignore (Der.sound_cardinality m ~gamma:2));
       ("exact", fun () -> ignore (Der.exact_cardinality m ~gamma:2));
       ("requirement", fun () -> ignore (Der.requirement m ~gamma:2));
+      ("memo", fun () -> ignore (Der.Memo.requirement m ~gamma:2));
+      ("instance", fun () -> ignore (Inst.of_workflow w ~gamma:2 ~cost:(fun _ -> Q.one) ()));
     ]
 
 (* ------------------------------------------------------------------ *)
 (* Instances and solutions                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* Requirement memo ----------------------------------------------------- *)
+
+module Memo = Der.Memo
+
+(* [b] copies [a] and [c] is [a and b]: a table whose minimal hidden
+   sets come in the set form. *)
+let copy_and ~name a b c =
+  Wf.Wmodule.of_fun ~name
+    ~inputs:(Rel.Attr.booleans [ a; b ])
+    ~outputs:(Rel.Attr.booleans [ c ])
+    (fun x -> [| x.(0) land x.(1) |])
+
+let test_memo_renamed_hit () =
+  Memo.clear ();
+  let m = copy_and ~name:"m" "a" "b" "c" in
+  let renamed = copy_and ~name:"other" "z" "y" "x" in
+  let first = Memo.requirement m ~gamma:2 in
+  let again = Memo.requirement renamed ~gamma:2 in
+  let s = Memo.stats () in
+  Alcotest.(check (list int)) "hits, misses, size" [ 1; 1; 1 ]
+    [ s.Memo.hits; s.Memo.misses; s.Memo.size ];
+  Alcotest.(check bool) "first = fresh derivation" true (first = Der.requirement m ~gamma:2);
+  Alcotest.(check bool) "hit = fresh derivation of the renamed module" true
+    (again = Der.requirement renamed ~gamma:2);
+  ignore (Memo.requirement m ~gamma:3);
+  Alcotest.(check int) "another gamma is another entry" 2 (Memo.stats ()).Memo.misses
+
+let test_memo_eviction () =
+  Memo.clear ();
+  let m = copy_and ~name:"m" "a" "b" "c" in
+  Alcotest.(check int) "capacity" 256 Memo.capacity;
+  for gamma = 1 to Memo.capacity + 1 do
+    ignore (Memo.requirement m ~gamma)
+  done;
+  let s = Memo.stats () in
+  Alcotest.(check (list int)) "misses, evictions, size" [ 257; 1; 256 ]
+    [ s.Memo.misses; s.Memo.evictions; s.Memo.size ];
+  ignore (Memo.requirement m ~gamma:(Memo.capacity + 1));
+  Alcotest.(check int) "the newest entry hits" 1 (Memo.stats ()).Memo.hits;
+  ignore (Memo.requirement m ~gamma:1);
+  Alcotest.(check int) "the least recently used entry was evicted" 258
+    (Memo.stats ()).Memo.misses
+
+let test_memo_entry_cap () =
+  (* [n] boolean inputs and one output, defined on one input: the entry
+     costs 2^(n+1) status bytes plus a short key, so 13 inputs fit under
+     32 KiB and 14 do not. *)
+  let wide n =
+    Wf.Wmodule.of_partial_fun ~name:"wide"
+      ~inputs:(List.init n (fun i -> Rel.Attr.boolean (Printf.sprintf "x%d" i)))
+      ~outputs:[ Rel.Attr.boolean "y" ]
+      ~defined_on:[ Array.make n 0 ]
+      (fun _ -> [| 0 |])
+  in
+  Alcotest.(check int) "cap" (32 * 1024) Memo.max_entry_bytes;
+  Memo.clear ();
+  let fits = wide 13 in
+  Alcotest.(check bool) "under the cap: fresh answer" true
+    (Memo.requirement fits ~gamma:1 = Der.requirement fits ~gamma:1);
+  let s = Memo.stats () in
+  Alcotest.(check (list int)) "stored (misses, skipped, size)" [ 1; 0; 1 ]
+    [ s.Memo.misses; s.Memo.skipped; s.Memo.size ];
+  let over = wide 14 in
+  Alcotest.(check bool) "over the cap: fresh answer" true
+    (Memo.requirement over ~gamma:1 = Der.requirement over ~gamma:1);
+  ignore (Memo.requirement over ~gamma:1);
+  let s = Memo.stats () in
+  Alcotest.(check (list int)) "not stored (misses, skipped, size)" [ 1; 2; 1 ]
+    [ s.Memo.misses; s.Memo.skipped; s.Memo.size ]
 
 let simple_instance () =
   Inst.make
@@ -611,12 +684,74 @@ let rename_instance suffix (inst : Inst.t) =
          inst.Inst.publics)
     ()
 
+(* Random workflows (arity up to 6, gamma 1..4) and an order-scrambling
+   bijective renaming of each: fresh names drawn in shuffled order, so
+   sorting by name permutes attributes differently than before. *)
+let gen_memo_case =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* n_modules = int_range 1 4 in
+    let* max_inputs = int_range 1 5 in
+    let* max_outputs = int_range 1 (6 - max_inputs) in
+    let* gamma = int_range 1 4 in
+    return (seed, n_modules, max_inputs, max_outputs, gamma))
+
+let print_memo_case (seed, n, i, o, gamma) =
+  Printf.sprintf "seed=%d modules=%d max_inputs=%d max_outputs=%d gamma=%d" seed n i o
+    gamma
+
+let scramble_names rng w =
+  let names = Wf.Workflow.attr_names w in
+  let fresh = List.mapi (fun i _ -> Printf.sprintf "r%02d" i) names in
+  let table = List.combine names (Svutil.Rng.shuffle rng fresh) in
+  let ra a = Rel.Attr.make (List.assoc (Rel.Attr.name a) table) ~dom:(Rel.Attr.dom a) in
+  Wf.Workflow.modules w
+  |> List.map (fun (m : Wf.Wmodule.t) ->
+         let inputs = List.map ra m.Wf.Wmodule.inputs in
+         let outputs = List.map ra m.Wf.Wmodule.outputs in
+         Wf.Wmodule.of_table ~name:("s_" ^ m.Wf.Wmodule.name) ~inputs ~outputs
+           (Rel.Relation.create
+              (Rel.Schema.of_list (inputs @ outputs))
+              (Rel.Relation.rows m.Wf.Wmodule.table)))
+  |> Wf.Workflow.create_exn
+
+let memo_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"memo = fresh derivation"
+       ~print:print_memo_case gen_memo_case
+       (fun (seed, n_modules, max_inputs, max_outputs, gamma) ->
+         let rng = Svutil.Rng.create seed in
+         let w =
+           Wf.Gen.random_workflow rng
+             { Wf.Gen.default with n_modules; max_inputs; max_outputs }
+         in
+         let memoized w = (Inst.of_workflow w ~gamma ~cost:(fun _ -> Q.one) ()).Inst.mods in
+         let fresh w =
+           List.map
+             (fun (m : Wf.Wmodule.t) ->
+               {
+                 Inst.m_name = m.Wf.Wmodule.name;
+                 inputs = Wf.Wmodule.input_names m;
+                 outputs = Wf.Wmodule.output_names m;
+                 req = Der.requirement m ~gamma;
+               })
+             (Wf.Workflow.modules w)
+         in
+         let renamed = scramble_names rng w in
+         let ok = memoized w = fresh w in
+         let before = Memo.stats () in
+         let ok = ok && memoized renamed = fresh renamed in
+         let after = Memo.stats () in
+         ok && after.Memo.misses = before.Memo.misses
+         && after.Memo.hits - before.Memo.hits = List.length (Wf.Workflow.modules w)))
+
 let auto_cost inst =
   let r = E.run { (E.default_request inst) with E.meth = E.Auto } in
   Option.map (fun s -> s.Sol.cost) r.E.solution
 
 let props =
   [
+    memo_prop;
     derive_prop ~count:200 "derivation = per-subset oracle, list order included"
       (fun m ~gamma ->
         Der.sound_cardinality m ~gamma = Derive_oracle.sound_cardinality m ~gamma
@@ -842,6 +977,9 @@ let () =
           Alcotest.test_case "matches standalone safety" `Quick test_derive_matches_standalone;
           Alcotest.test_case "table check counts" `Quick test_table_check_counts;
           Alcotest.test_case "universe limit" `Quick test_derive_universe_limit;
+          Alcotest.test_case "memo: renamed module hits" `Quick test_memo_renamed_hit;
+          Alcotest.test_case "memo: LRU eviction" `Quick test_memo_eviction;
+          Alcotest.test_case "memo: entry cap" `Quick test_memo_entry_cap;
         ] );
       ( "instances",
         [

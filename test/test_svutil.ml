@@ -136,6 +136,26 @@ let test_deadline_expiry () =
   | Some ms -> Alcotest.(check (float 0.0)) "remaining clamps at zero" 0. ms
   | None -> Alcotest.fail "finite deadline has remaining time"
 
+let test_clock_monotonic () =
+  (* Successive readings of the solver clock never go back, and a short
+     deadline expires once its budget has elapsed on that clock. *)
+  let prev = ref (Svutil.Deadline.now_ms ()) in
+  for _ = 1 to 100_000 do
+    let now = Svutil.Deadline.now_ms () in
+    if now < !prev then Alcotest.failf "clock went back: %f after %f" now !prev;
+    prev := now
+  done;
+  let d = Svutil.Deadline.after_ms 2. in
+  let start = Svutil.Deadline.now_ms () in
+  while not (Svutil.Deadline.expired d) do
+    if Svutil.Deadline.now_ms () -. start > 5_000. then
+      Alcotest.fail "a 2 ms deadline did not expire within 5 s"
+  done;
+  Alcotest.(check bool) "expired after its budget" true
+    (Svutil.Deadline.now_ms () -. start >= 1.);
+  Alcotest.check_raises "check raises once expired" Svutil.Deadline.Expired
+    (fun () -> Svutil.Deadline.check d)
+
 (* Json number printing -------------------------------------------------- *)
 
 module Json = Svutil.Json
@@ -226,6 +246,25 @@ let test_par_exception () =
   | _ -> Alcotest.fail "expected the worker exception to propagate"
   | exception Failure msg -> Alcotest.(check string) "message" "boom" msg
 
+let test_par_domain_local () =
+  (* Each worker sees its own value: with 4 workers over 8 items, every
+     worker counts to 2 on its own state. One shared value in the
+     sequential fallback. *)
+  let local = Svutil.Par.domain_local (fun () -> ref 0) in
+  let counts =
+    Svutil.Par.map ~jobs:4
+      (fun _ ->
+        let r = local () in
+        incr r;
+        !r)
+      (List.init 8 Fun.id)
+  in
+  let expected =
+    if Svutil.Par.available then [ 1; 1; 1; 1; 2; 2; 2; 2 ] else List.init 8 succ
+  in
+  Alcotest.(check (list int)) "per-domain counts" expected counts;
+  Alcotest.(check bool) "same value on repeated calls" true (local () == local ())
+
 let test_pq_clear_and_peek () =
   let pq = Svutil.Pq.create ~cmp:compare in
   Alcotest.(check bool) "fresh is empty" true (Svutil.Pq.is_empty pq);
@@ -270,12 +309,14 @@ let () =
       ( "par",
         [
           Alcotest.test_case "worker exception propagates" `Quick test_par_exception;
+          Alcotest.test_case "domain-local state" `Quick test_par_domain_local;
           Alcotest.test_case "pq clear and peek" `Quick test_pq_clear_and_peek;
         ] );
       ( "deadline",
         [
           Alcotest.test_case "none" `Quick test_deadline_none;
           Alcotest.test_case "expiry" `Quick test_deadline_expiry;
+          Alcotest.test_case "monotonic clock" `Quick test_clock_monotonic;
         ] );
       ("properties", props);
     ]
