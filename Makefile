@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare perfbench-smoke lint-examples flow-examples batch-examples delta-examples serve-examples clean
+.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare perfbench-smoke counts-check lint-examples flow-examples batch-examples delta-examples serve-examples clean
 
 # Output path for bench-json; override to record a new baseline, e.g.
 #   make bench-json OUT=BENCH_PR2.json
@@ -55,6 +55,14 @@ perfbench-smoke:
 	for w in hot cold corpus; do \
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
 	done
+
+# Deterministic work counts of the request-level benchmark: one traced
+# run per workload at the seed recorded in bench/counts.json, every
+# count-unit metric (derive calls, cache hits/evictions, engine calls,
+# B&B nodes, float pivots, certify fallbacks, unproven results) compared
+# exactly. Fails with a diff on any mismatch.
+counts-check:
+	python3 bench/counts_check.py bench/counts.json
 
 # Wfcheck over the example corpus: shipped specs must lint clean, and
 # every fixture under examples/bad/ must report the W0xx code its file

@@ -211,17 +211,13 @@ let lp_mode_arg =
       [
         ("exact", Lp.Simplex.Exact_mode);
         ("hybrid", Lp.Simplex.Hybrid_mode);
-        ("float", Lp.Simplex.Float_mode);
-        ("fast", Lp.Simplex.Float_mode);
       ]
   in
   Arg.(value & opt modes Lp.Simplex.Hybrid_mode
        & info [ "lp-mode"; "solver" ] ~docv:"MODE"
            ~doc:"Simplex route for the LP relaxations: $(b,exact) (rational \
-                 pivoting, the reference), $(b,hybrid) (default: float basis \
-                 hunting, exactly certified — same answers as exact), or \
-                 $(b,float) (approximate; results are tagged lp.inexact). \
-                 $(b,fast) is accepted as a legacy spelling of $(b,float).")
+                 pivoting, the reference) or $(b,hybrid) (default: float basis \
+                 hunting, exactly certified — same answers as exact).")
 
 let jobs_arg =
   Arg.(value & opt int 1

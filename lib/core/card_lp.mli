@@ -45,6 +45,8 @@ val lp_relaxation :
 (** Solve the LP relaxation; returns the hidden-indicator values
     [x_b] and the LP objective (a lower bound on the optimum).
     [mode] picks the simplex route (default {!Lp.Simplex.Hybrid_mode}:
-    exact-rational answers at float pivoting cost).
+    exact-rational answers at float pivoting cost;
+    {!Lp.Simplex.Exact_mode} pivots in rationals throughout). Both
+    return the exact x that Algorithm 1's guarantee needs.
     [deadline] is polled inside the simplex pivot loops; on expiry
     {!Svutil.Deadline.Expired} is raised. *)

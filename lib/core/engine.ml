@@ -48,14 +48,6 @@ let default_request inst =
     metrics = Svutil.Metrics.nop;
   }
 
-(* The rounding guarantees (Theorems 5 and 6) need exact x values, so
-   the rounding solvers never run their relaxation in pure floats: an
-   explicit [Float_mode] request is upgraded to the hybrid route, which
-   is float-priced but returns exact rationals. *)
-let rounding_mode = function
-  | Lp.Simplex.Float_mode -> Lp.Simplex.Hybrid_mode
-  | m -> m
-
 type solved_state = { solved_inst : Instance.t; canon : string Lazy.t }
 
 type result = {
@@ -129,9 +121,7 @@ let greedy (req : request) =
   make_result ~metrics:req.metrics ~phases ~method_used:Greedy ~stats
     ?solution ()
 
-(* Algorithm 1 (Theorem 5). The relaxation must return exact
-   rationals ([rounding_mode]): the rounding guarantee does not
-   survive float round-off of the x values. *)
+(* Algorithm 1 (Theorem 5). *)
 let round_card (req : request) =
   let phases = ref [] in
   if not (Exact.all_cardinality req.inst) then
@@ -143,7 +133,7 @@ let round_card (req : request) =
     let deadline = D.of_ms_opt req.deadline_ms in
     match
       phase req.metrics phases "lp" (fun () ->
-          Card_lp.lp_relaxation ~mode:(rounding_mode req.lp_mode) ~deadline
+          Card_lp.lp_relaxation ~mode:req.lp_mode ~deadline
             ~metrics:req.metrics req.inst)
     with
     | exception D.Expired ->
@@ -173,7 +163,7 @@ let round_set (req : request) =
   let deadline = D.of_ms_opt req.deadline_ms in
   match
     phase req.metrics phases "lp" (fun () ->
-        Set_lp.lp_relaxation ~mode:(rounding_mode req.lp_mode) ~deadline
+        Set_lp.lp_relaxation ~mode:req.lp_mode ~deadline
           ~metrics:req.metrics req.inst)
   with
   | exception D.Expired ->
@@ -222,9 +212,6 @@ let exact (req : request) =
       ("deadline_hit", string_of_bool st.deadline_hit);
       ("lp_mode", Lp.Simplex.mode_to_string req.lp_mode);
     ]
-    @ (if req.lp_mode = Lp.Simplex.Float_mode then
-         [ ("lp.inexact", "true") ]
-       else [])
     @
     match st.root_bound with
     | Some b -> [ ("root_bound", Rat.to_string b) ]

@@ -36,9 +36,8 @@ type request = {
           [proven_optimal = false] — it never raises. *)
   node_limit : int;  (** branch-and-bound node budget (exact method) *)
   lp_mode : Lp.Simplex.mode;
-      (** simplex route for the LP relaxations. The rounding methods
-          upgrade {!Lp.Simplex.Float_mode} to {!Lp.Simplex.Hybrid_mode}:
-          their approximation guarantees need exact x values. *)
+      (** simplex route for the LP relaxations; both routes return
+          the exact x values the rounding guarantees need. *)
   jobs : int;  (** concurrent branch-and-bound node evaluations *)
   seed : int;  (** RNG seed for randomized rounding trials *)
   trials : int;  (** rounding trials; the cheapest solution wins *)

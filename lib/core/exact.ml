@@ -69,9 +69,6 @@ let solve_with_stats ?(node_limit = Lp.Ilp.default_node_limit)
     | Lp.Simplex.Hybrid_mode ->
         Lp.Ilp.Hybrid.solve_with_stats ~node_limit ?cutoff ?incumbent ~jobs
           ?deadline ?metrics ~fixings
-    | Lp.Simplex.Float_mode ->
-        Lp.Ilp.Fast.solve_with_stats ~node_limit ?cutoff ?incumbent ~jobs
-          ?deadline ?metrics ~fixings
   in
   let finish ~proven values =
     let hidden =

@@ -32,6 +32,8 @@ val lp_relaxation :
   ?metrics:Svutil.Metrics.t ->
   Instance.t ->
   [ `Optimal of (string -> Rat.t) * Rat.t | `Infeasible ]
-(** [mode] picks the simplex route (default {!Lp.Simplex.Hybrid_mode}).
+(** [mode] picks the simplex route (default {!Lp.Simplex.Hybrid_mode};
+    {!Lp.Simplex.Exact_mode} pivots in rationals throughout). Both
+    return the exact x that the threshold rounding's guarantee needs.
     [deadline] is polled inside the simplex pivot loops; on expiry
     {!Svutil.Deadline.Expired} is raised. *)

@@ -22,25 +22,13 @@ let default_node_limit = 50_000
 let frac_part r = Rat.sub r (Rat.of_bigint (Rat.floor r))
 
 module Make (Solver : Simplex.SOLVER) = struct
-  let eps = Solver.integral_eps
-
-  let is_integral r =
-    if Rat.is_zero eps then Rat.is_integer r
-    else
-      let f = frac_part r in
-      Rat.leq f eps || Rat.geq f (Rat.sub Rat.one eps)
-
-  let snap r =
-    if Rat.is_zero eps then r
-    else Rat.of_bigint (Rat.floor (Rat.add r (Rat.of_ints 1 2)))
-
   (* Most fractional integer variable, or [-1] if the point is integral. *)
   let branch_var (p : Problem.snapshot) values =
     let branch = ref (-1) in
     let branch_score = ref Rat.zero in
     Array.iteri
       (fun i v ->
-        if p.Problem.integer.(i) && not (is_integral v) then begin
+        if p.Problem.integer.(i) && not (Rat.is_integer v) then begin
           let f = frac_part v in
           let score = Rat.min f (Rat.sub Rat.one f) in
           if Rat.gt score !branch_score then begin
@@ -139,15 +127,10 @@ module Make (Solver : Simplex.SOLVER) = struct
           match current_cut () with Some c -> Rat.geq obj c | None -> false
         in
         let offer values =
-          let snapped =
-            Array.mapi
-              (fun i v -> if p.Problem.integer.(i) then snap v else v)
-              values
-          in
-          let obj = Linexpr.eval p.Problem.objective (fun v -> snapped.(v)) in
+          let obj = Linexpr.eval p.Problem.objective (fun v -> values.(v)) in
           if not (dominated obj) then begin
             Svutil.Metrics.tick metrics "ilp.incumbents";
-            best := Some (obj, snapped)
+            best := Some (obj, values)
           end
         in
         (* Candidate incumbents from the root relaxation: nearest-integer
@@ -357,5 +340,4 @@ module Make (Solver : Simplex.SOLVER) = struct
 end
 
 module Exact = Make (Simplex.Exact)
-module Fast = Make (Simplex.Fast)
 module Hybrid = Make (Simplex.Hybrid)

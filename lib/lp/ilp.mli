@@ -124,30 +124,6 @@ module Exact : sig
     result * stats
 end
 
-module Fast : sig
-  val solve :
-    ?node_limit:int ->
-    ?cutoff:Rat.t ->
-    ?incumbent:Rat.t array ->
-    ?jobs:int ->
-    ?deadline:Svutil.Deadline.t ->
-    ?metrics:Svutil.Metrics.t ->
-    ?fixings:(int * Rat.t) list ->
-    Problem.snapshot ->
-    result
-
-  val solve_with_stats :
-    ?node_limit:int ->
-    ?cutoff:Rat.t ->
-    ?incumbent:Rat.t array ->
-    ?jobs:int ->
-    ?deadline:Svutil.Deadline.t ->
-    ?metrics:Svutil.Metrics.t ->
-    ?fixings:(int * Rat.t) list ->
-    Problem.snapshot ->
-    result * stats
-end
-
 (** Branch and bound over {!Simplex.Hybrid}: exact optima (identical to
     {!Exact}'s) with float-priced node relaxations. *)
 module Hybrid : sig

@@ -8,7 +8,7 @@
     - variables are shifted ([y_i = x_i - lb_i >= 0]), so the node's
       lower bounds live in the right-hand side, not in extra rows;
     - upper bounds become explicit [y_i <= ub_i - lb_i] rows, mirroring
-      {!Simplex.Make.solve};
+      {!Simplex.Exact.solve};
     - columns are [0..n-1] structural, then one slack per inequality
       row (in row order), then one designated artificial per row
       ([first_art + r] for row [r]).

@@ -424,6 +424,8 @@ let test_usage_exit_codes () =
       ("serve --cache-size x", [ "serve"; "--cache-size"; "x" ]);
       ("solve unknown option", [ "solve"; fig1; "--no-such-option" ]);
       ("solve unknown method", [ "solve"; fig1; "-m"; "fastest" ]);
+      ("solve --lp-mode float", [ "solve"; fig1; "--lp-mode"; "float" ]);
+      ("solve --solver fast", [ "solve"; fig1; "--solver"; "fast" ]);
       ("unknown subcommand", [ "no-such-command" ]);
     ]
 

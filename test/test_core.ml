@@ -787,14 +787,6 @@ let props =
             Q.equal solution.Sol.cost b.Sol.cost
         | None, None -> true
         | _ -> false);
-    prop "float ilp matches brute force" gen_instance (fun (_, inst) ->
-        match
-          ( Core.Exact.solve ~mode:Lp.Simplex.Float_mode inst,
-            Core.Exact.brute_force inst )
-        with
-        | Some { solution; _ }, Some b -> Q.equal solution.Sol.cost b.Sol.cost
-        | None, None -> true
-        | _ -> false);
     prop "hybrid ilp proves the brute-force optimum" gen_instance
       (fun (_, inst) ->
         (* The default route: float basis hunting must still yield

@@ -505,6 +505,8 @@ let test_daemon_errors () =
     "static" 1;
   check_error {|{"op":"solve","file":"examples/fig1.swf","method":"wat"}|}
     "unknown-name" 2;
+  check_error {|{"op":"solve","file":"examples/fig1.swf","lp_mode":"float"}|}
+    "unknown-name" 2;
   (* Blank lines are skipped without a response. *)
   match Serve.Daemon.handle_line t "   " with
   | None, `Continue -> ()
