@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare perfbench-smoke counts-check lint-examples flow-examples batch-examples delta-examples serve-examples clean
+.PHONY: build test bench bench-smoke bench-smoke-json bench-json bench-compare bench-ab perfbench-smoke counts-check lint-examples flow-examples batch-examples delta-examples serve-examples clean
 
 # Output path for bench-json; override to record a new baseline, e.g.
 #   make bench-json OUT=BENCH_PR2.json
@@ -12,6 +12,12 @@ SMOKE_OUT ?= BENCH_SMOKE.json
 # Exits nonzero when any kernel regressed by more than 10%.
 BASE ?= BENCH_PR10.json
 NEW ?= BENCH_PR12.json
+
+# Workload and pair count for bench-ab, e.g.
+#   make bench-ab BASE=HEAD~1 W=cold N=10
+# (there BASE names a git revision, not a baseline file).
+W ?= hot
+N ?= 10
 
 # Optional kernel filter (Str regexp) for bench-json, e.g.
 #   make bench-json FILTER=simplex
@@ -55,6 +61,14 @@ perfbench-smoke:
 	for w in hot cold corpus; do \
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
 	done
+
+# A/B of the request-level benchmark: the git revision BASE, unpacked
+# with git archive, against this checkout, N alternating pairs of 10 s
+# runs of workload W. Prints the median, IQR and win count of every
+# end-to-end metric in BENCHMARK.json; fails on a failed run or a metric
+# worse than its bound.
+bench-ab:
+	python3 bench/ab.py --base $(BASE) --workload $(W) --n $(N)
 
 # Deterministic work counts of the request-level benchmark: one traced
 # run per workload at the seed recorded in bench/counts.json, every

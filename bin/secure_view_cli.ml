@@ -694,7 +694,6 @@ let serve_cmd =
             static_fixing = not no_static_fixing;
           };
         verify_hits;
-        preflight = true;
         metrics = Svutil.Metrics.create ();
       }
     in

@@ -103,21 +103,12 @@ let refine (inst : Instance.t) =
     end
   in
   go 0 (distinct ());
-  (ac, mcol, pcol)
-
-let digest inst =
-  let ac, mcol, pcol = refine inst in
-  let cols =
-    List.map ac (Instance.attrs inst)
-    @ Array.to_list mcol @ Array.to_list pcol
-  in
-  md5 (String.concat "," (List.sort compare cols))
+  ac
 
 (* The canonical relabeling behind [form], kept around as a first-class
    value so solutions can be transported across the isomorphism that
    equal forms exhibit (the serve cache's hit path). *)
 type labeling = {
-  lab_digest : string;
   lab_form : string;
   to_canon : (string, string) Hashtbl.t;  (* attribute -> canonical aN *)
   of_canon : (string, string) Hashtbl.t;  (* canonical aN -> attribute *)
@@ -126,14 +117,7 @@ type labeling = {
 }
 
 let labeling inst =
-  let ac, mcol, pcol = refine inst in
-  let lab_digest =
-    let cols =
-      List.map ac (Instance.attrs inst)
-      @ Array.to_list mcol @ Array.to_list pcol
-    in
-    md5 (String.concat "," (List.sort compare cols))
-  in
+  let ac = refine inst in
   (* Relabel attributes by (stable color, original name): the tie-break
      keeps the output deterministic; soundness of [form] equality does
      not depend on it (any relabeling exhibits the isomorphism). Module
@@ -201,11 +185,9 @@ let labeling inst =
   let pub_slots = Array.of_list (List.map snd pub_lines) in
   let pub_slot_of = Hashtbl.create 8 in
   Array.iteri (fun i name -> Hashtbl.replace pub_slot_of name i) pub_slots;
-  { lab_digest; lab_form = Buffer.contents b; to_canon; of_canon;
-    pub_slots; pub_slot_of }
+  { lab_form = Buffer.contents b; to_canon; of_canon; pub_slots; pub_slot_of }
 
 let form_of_labeling l = l.lab_form
-let digest_of_labeling l = l.lab_digest
 let form inst = (labeling inst).lab_form
 
 let transport ~src ~dst (s : Solution.t) =

@@ -1,31 +1,25 @@
-(** Canonical forms and rename-invariant digests of Secure-View
-    instances.
+(** Canonical forms of Secure-View instances.
 
-    The PR 5 metamorphic suite proves that renaming attributes (and
+    The metamorphic test suite shows that renaming attributes (and
     modules) preserves optima; this module turns that fact into a usable
     key. A color-refinement pass (Weisfeiler–Leman style, over the
     attribute / module / public incidence structure) assigns every node
     a color that depends only on costs, requirement shapes and wiring —
-    never on names — and two artifacts are derived from the stable
-    coloring:
-
-    - {!digest}: a hex string invariant under any renaming, suitable as
-      a cache key (ROADMAP item 1) — isomorphic instances always agree;
-      unequal instances collide only with MD5 probability;
-    - {!form}: a full canonical serialization under a color-sorted
-      relabeling. Equal forms exhibit an explicit attribute bijection
-      making the instances textually identical, so [form] equality
-      {e proves} isomorphism (and hence equal optima) — no hash
-      collision caveat. [Core.Delta] uses it to detect no-op edits.
+    never on names. Attributes are then relabeled in stable-color order,
+    and {!form} serializes the relabeled instance. Equal forms exhibit
+    an explicit attribute bijection making the instances textually
+    identical, so [form] equality {e proves} isomorphism (and hence
+    equal optima). The form itself is the serve cache's key
+    ([Serve.Cache]) and [Core.Delta]'s no-op test. No digest stands in
+    for it, so a key match is itself the isomorphism proof and no key
+    collision needs handling.
 
     Completeness caveat: when the refinement leaves symmetric-looking
     attributes in one color class, the relabeling breaks ties by
     original name, so two isomorphic instances can (rarely) have
     different forms. That only costs a missed equality — never a false
-    one. *)
-
-val digest : Instance.t -> string
-(** Rename-invariant instance fingerprint (32 hex chars). *)
+    one: the serve cache keeps such tied isomorphs as separate
+    entries. *)
 
 val form : Instance.t -> string
 (** Canonical serialization. [form a = form b] implies [a] and [b] are
@@ -53,13 +47,8 @@ val labeling : Instance.t -> labeling
 
 val form_of_labeling : labeling -> string
 (** The {!form} the labeling serializes to — same string as
-    [form inst], with the refinement paid only once. *)
-
-val digest_of_labeling : labeling -> string
-(** The {!digest} of the labeled instance — same string as
-    [digest inst], computed from the same refinement pass, so a cache
-    can key on the digest and compare forms with one refinement per
-    request. *)
+    [form inst], with the refinement paid only once. The serve cache
+    keys on it directly. *)
 
 val transport : src:labeling -> dst:labeling -> Solution.t -> Solution.t option
 (** [transport ~src ~dst s] maps a solution of [src]'s instance to the

@@ -350,14 +350,6 @@ let sub_instance (edited : Instance.t) dirty =
          edited.Instance.publics)
     ()
 
-let ratio_of solution lower_bound proven =
-  match (solution, lower_bound) with
-  | Some _, _ when proven -> Some 1.0
-  | Some (s : Solution.t), Some lb when Rat.gt lb Rat.zero ->
-      Some (Rat.to_float (Rat.div s.Solution.cost lb))
-  | Some (s : Solution.t), Some _ when Rat.is_zero s.Solution.cost -> Some 1.0
-  | _ -> None
-
 let resolve ?(node_limit = Lp.Ilp.default_node_limit)
     ?(lp_mode = Lp.Simplex.Hybrid_mode) ?(jobs = 1)
     ?(metrics = Metrics.nop) ~(parent : Engine.result) script =
@@ -378,7 +370,6 @@ let resolve ?(node_limit = Lp.Ilp.default_node_limit)
             Engine.solution;
             lower_bound;
             proven_optimal;
-            ratio = ratio_of solution lower_bound proven_optimal;
             timings = List.rev !phases @ [ ("total", total_ms) ];
             stats;
             method_used;

@@ -10,15 +10,6 @@ let meth_to_string = function
   | Exact -> "exact"
   | Brute -> "brute"
 
-let meth_of_string = function
-  | "auto" -> Some Auto
-  | "greedy" -> Some Greedy
-  | "round-card" | "alg1" -> Some Round_card
-  | "round-set" | "lp" -> Some Round_set
-  | "exact" -> Some Exact
-  | "brute" -> Some Brute
-  | _ -> None
-
 type request = {
   inst : Instance.t;
   meth : meth;
@@ -54,13 +45,20 @@ type result = {
   solution : Solution.t option;
   lower_bound : Rat.t option;
   proven_optimal : bool;
-  ratio : float option;
   timings : (string * float) list;
   stats : (string * string) list;
   method_used : meth;
   metrics : Svutil.Metrics.t;
   state : solved_state option;
 }
+
+let ratio r =
+  match (r.solution, r.lower_bound) with
+  | Some _, _ when r.proven_optimal -> Some 1.0
+  | Some s, Some lb when Rat.gt lb Rat.zero ->
+      Some (Rat.to_float (Rat.div s.Solution.cost lb))
+  | Some s, Some _ when Rat.is_zero s.Solution.cost -> Some 1.0
+  | _ -> None
 
 (* Phase timing: one clock-read pair per phase feeds both the registry
    (as a span nested under [run]'s "solve" span) and the [(label, ms)]
@@ -73,19 +71,10 @@ let phase metrics phases label f =
 
 let make_result ~metrics ~phases ~method_used ?(stats = []) ?solution
     ?lower_bound ?(proven_optimal = false) () =
-  let ratio =
-    match (solution, lower_bound) with
-    | Some _, _ when proven_optimal -> Some 1.0
-    | Some (s : Solution.t), Some lb when Rat.gt lb Rat.zero ->
-        Some (Rat.to_float (Rat.div s.Solution.cost lb))
-    | Some (s : Solution.t), Some _ when Rat.is_zero s.Solution.cost -> Some 1.0
-    | _ -> None
-  in
   {
     solution;
     lower_bound;
     proven_optimal;
-    ratio;
     timings = List.rev !phases;
     stats;
     method_used;
@@ -305,19 +294,3 @@ let run req =
     state =
       Some { solved_inst = req.inst; canon = lazy (Canon.form req.inst) };
   }
-
-type cache = {
-  cache_find : request -> result option;
-  cache_store : request -> result -> unit;
-}
-
-let no_cache = { cache_find = (fun _ -> None); cache_store = (fun _ _ -> ()) }
-
-let run_cached cache req =
-  match cache.cache_find req with
-  | Some r ->
-      { r with stats = ("cache", "hit") :: List.remove_assoc "cache" r.stats }
-  | None ->
-      let r = run req in
-      cache.cache_store req r;
-      { r with stats = ("cache", "miss") :: r.stats }

@@ -25,7 +25,6 @@ type meth =
   | Brute  (** exhaustive subset enumeration (small instances only) *)
 
 val meth_to_string : meth -> string
-val meth_of_string : string -> meth option
 
 type request = {
   inst : Instance.t;
@@ -85,9 +84,6 @@ type result = {
       (** an LP-relaxation (or optimality) lower bound on the optimum,
           when the method computed one *)
   proven_optimal : bool;
-  ratio : float option;
-      (** achieved approximation ratio [cost / lower_bound] when both
-          are available; [1.0] when proven optimal *)
   timings : (string * float) list;
       (** per-phase wall-clock milliseconds, e.g. [("lp", _); ("round", _)];
           always includes ["total"] *)
@@ -105,6 +101,13 @@ type result = {
       (** filled by {!run} (and by {!Delta.resolve} for its edited
           results); [None] on results assembled outside the engine *)
 }
+
+val ratio : result -> float option
+(** The achieved approximation ratio, derived from the result rather
+    than stored in it: [1.0] when proven optimal; otherwise
+    [cost / lower_bound] when both are present and the bound is
+    positive ([1.0] for a zero-cost solution under any other bound);
+    [None] without a solution or a bound. *)
 
 val choose : request -> meth
 (** The [Auto] policy, as one closed form over the instance and the
@@ -125,27 +128,3 @@ val run : request -> result
     runs inside a ["solve"] metrics span whose measurement also
     provides the ["total"] timings entry (solver phases appear under
     ["solve/<phase>"] in the registry). *)
-
-(** {1 Cache-aware entry point}
-
-    The engine does not own a cache (the canonical-form solution cache
-    lives in [Serve.Cache], above this layer); it owns the wiring: a
-    {!cache} is a pair of closures consulted before and after a solve.
-    A lookup hit is returned as-is except for a [("cache", "hit")]
-    stat; a miss runs {!run}, offers the result to [cache_store], and
-    tags the result [("cache", "miss")]. *)
-
-type cache = {
-  cache_find : request -> result option;
-      (** must only return results whose optimum provably equals a
-          fresh {!run} of the request (the serve cache guarantees this
-          by canonical-isomorphism transport plus a re-closure check) *)
-  cache_store : request -> result -> unit;
-      (** offered every miss result; the store decides cacheability *)
-}
-
-val no_cache : cache
-(** Never hits, never stores: [run_cached no_cache] is {!run} plus the
-    [("cache", "miss")] stat. *)
-
-val run_cached : cache -> request -> result

@@ -338,7 +338,3 @@ let check inst t =
         fail "lower bound %s exceeds upper bound %s" (Rat.to_string t.lower_cost)
           (Rat.to_string u)
       else Ok ()
-
-let pp_verdict fmt v =
-  Format.fprintf fmt "%s: %s (%s)" v.attr (kind_to_string v.kind)
-    (justification_to_string v.why)

@@ -69,4 +69,3 @@ val check : Instance.t -> t -> (unit, string) result
 val side_to_string : side -> string
 val kind_to_string : kind -> string
 val justification_to_string : justification -> string
-val pp_verdict : Format.formatter -> verdict -> unit

@@ -48,7 +48,6 @@ let create (sf : Sform.t) =
     y = Array.make sf.Sform.m 0.;
   }
 
-let invalidate t = t.valid <- false
 
 type outcome =
   | Optimal_basis of int array

@@ -41,6 +41,3 @@ val solve :
 (** Minimize the layout's objective under the given right-hand side.
     Ticks [simplex.hybrid.float_pivots].
     @raise Svutil.Deadline.Expired via periodic polls. *)
-
-val invalidate : t -> unit
-(** Drop the warm basis; the next {!solve} starts cold. *)

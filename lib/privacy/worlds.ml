@@ -217,15 +217,6 @@ let count_standalone_worlds ?max_worlds ?metrics m ~visible =
       true);
   !n
 
-let exists_standalone_world ?max_worlds ?metrics m ~visible ~f =
-  let c = compile_standalone ?max_worlds m ~visible in
-  let found = ref false in
-  run_search ?metrics c.sa_search ~commit:no_commit ~uncommit:no_uncommit
-    ~on_world:(fun rows ->
-      if f (R.create c.sa_schema rows) then found := true;
-      not !found);
-  !found
-
 let standalone_out_set ?max_worlds ?metrics m ~visible ~input =
   let c = compile_standalone ?max_worlds m ~visible in
   let slots = Array.length c.sa_dom in

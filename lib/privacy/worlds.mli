@@ -67,15 +67,6 @@ val fold_standalone_worlds :
 (** Fold over the worlds in enumeration order without building the
     list. *)
 
-val exists_standalone_world :
-  ?max_worlds:int ->
-  ?metrics:Svutil.Metrics.t ->
-  Wf.Wmodule.t ->
-  visible:string list ->
-  f:(Rel.Relation.t -> bool) ->
-  bool
-(** Does some world satisfy [f]? Stops at the first witness. *)
-
 val count_standalone_worlds :
   ?max_worlds:int ->
   ?metrics:Svutil.Metrics.t ->

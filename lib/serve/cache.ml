@@ -1,8 +1,8 @@
-(* The canonical-form solution cache. Soundness is structural: a hit is
-   served only after (1) form equality (a proof of isomorphism, closing
-   the MD5-collision hole in the digest key), (2) explicit solution
-   transport through the canonical relabelings, and (3) a re-closure
-   check of the transported solution on the request's own instance. *)
+(* The canonical-form solution cache. Soundness is structural: the LRU
+   key is the canonical form itself, so a key match proves isomorphism;
+   a hit is then served only after (1) explicit solution transport
+   through the canonical relabelings and (2) a re-closure check of the
+   transported solution on the request's own instance. *)
 
 module Metrics = Svutil.Metrics
 module Lru = Svutil.Lru
@@ -17,17 +17,16 @@ type entry = {
 type t = {
   lru : entry Lru.t;
   metrics : Metrics.t;
-  key : (Core.Instance.t -> string) option;
   (* One refinement pass per request: [find] computes the labeling, and
      the [store] that follows a miss reuses it (matched by physical
      identity of the instance). *)
-  mutable last : (Core.Instance.t * string * Core.Canon.labeling) option;
+  mutable last : (Core.Instance.t * Core.Canon.labeling) option;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create ?key ?(metrics = Metrics.nop) ~capacity () =
-  { lru = Lru.create capacity; metrics; key; last = None; hits = 0; misses = 0 }
+let create ?(metrics = Metrics.nop) ~capacity () =
+  { lru = Lru.create capacity; metrics; last = None; hits = 0; misses = 0 }
 
 let capacity t = Lru.capacity t.lru
 let length t = Lru.length t.lru
@@ -43,16 +42,11 @@ let cacheable (req : Core.Engine.request) =
 
 let labeled t inst =
   match t.last with
-  | Some (i, k, l) when i == inst -> (k, l)
+  | Some (i, l) when i == inst -> l
   | _ ->
       let l = Core.Canon.labeling inst in
-      let k =
-        match t.key with
-        | Some f -> f inst
-        | None -> Core.Canon.digest_of_labeling l
-      in
-      t.last <- Some (inst, k, l);
-      (k, l)
+      t.last <- Some (inst, l);
+      l
 
 let miss t =
   t.misses <- t.misses + 1;
@@ -69,7 +63,6 @@ let result_of (req : Core.Engine.request) lab e solution stats =
     Core.Engine.solution;
     lower_bound = e.e_lower_bound;
     proven_optimal = Option.is_some solution;
-    ratio = (if Option.is_some solution then Some 1.0 else None);
     timings = [];
     stats;
     method_used = e.e_method;
@@ -84,41 +77,28 @@ let result_of (req : Core.Engine.request) lab e solution stats =
 
 let find t (req : Core.Engine.request) =
   let inst = req.Core.Engine.inst in
-  let key, lab = labeled t inst in
-  match Lru.find t.lru key with
+  let lab = labeled t inst in
+  match Lru.find t.lru (Core.Canon.form_of_labeling lab) with
   | None -> miss t
-  | Some e ->
-      if
-        not
-          (String.equal
-             (Core.Canon.form_of_labeling e.e_labeling)
-             (Core.Canon.form_of_labeling lab))
-      then begin
-        (* Digest collision (or a refinement tie): not provably
-           isomorphic, so not servable. *)
-        Metrics.tick t.metrics "serve.collisions";
-        miss t
-      end
-      else begin
-        match e.e_solution with
-        | None ->
-            (* Isomorphic to a proven-infeasible instance: infeasibility
-               transports with no solution to verify. *)
-            hit t (result_of req lab e None [ ("infeasible", "true") ])
-        | Some s -> (
-            match Core.Canon.transport ~src:e.e_labeling ~dst:lab s with
-            | None -> miss t
-            | Some s' ->
-                let closed = Core.Solution.of_hidden inst s'.Core.Solution.hidden in
-                if
-                  Core.Solution.is_feasible inst closed
-                  && Rat.equal closed.Core.Solution.cost s'.Core.Solution.cost
-                then hit t (result_of req lab e (Some closed) [])
-                else begin
-                  Metrics.tick t.metrics "serve.verify_failures";
-                  miss t
-                end)
-      end
+  | Some e -> (
+      match e.e_solution with
+      | None ->
+          (* Isomorphic to a proven-infeasible instance: infeasibility
+             transports with no solution to verify. *)
+          hit t (result_of req lab e None [ ("infeasible", "true") ])
+      | Some s -> (
+          match Core.Canon.transport ~src:e.e_labeling ~dst:lab s with
+          | None -> miss t
+          | Some s' ->
+              let closed = Core.Solution.of_hidden inst s'.Core.Solution.hidden in
+              if
+                Core.Solution.is_feasible inst closed
+                && Rat.equal closed.Core.Solution.cost s'.Core.Solution.cost
+              then hit t (result_of req lab e (Some closed) [])
+              else begin
+                Metrics.tick t.metrics "serve.verify_failures";
+                miss t
+              end))
 
 let stat_true (r : Core.Engine.result) k =
   List.assoc_opt k r.Core.Engine.stats = Some "true"
@@ -140,9 +120,9 @@ let storable (r : Core.Engine.result) =
 
 let store t (req : Core.Engine.request) (r : Core.Engine.result) =
   if storable r then begin
-    let key, lab = labeled t req.Core.Engine.inst in
+    let lab = labeled t req.Core.Engine.inst in
     let before = Lru.evictions t.lru in
-    Lru.add t.lru key
+    Lru.add t.lru (Core.Canon.form_of_labeling lab)
       {
         e_labeling = lab;
         e_solution = r.Core.Engine.solution;
@@ -152,16 +132,3 @@ let store t (req : Core.Engine.request) (r : Core.Engine.result) =
     let evicted = Lru.evictions t.lru - before in
     if evicted > 0 then Metrics.count t.metrics "serve.evictions" evicted
   end
-
-let engine_cache t =
-  {
-    Core.Engine.cache_find =
-      (fun req ->
-        if cacheable req then
-          Metrics.span t.metrics "serve/lookup" (fun () -> find t req)
-        else None);
-    cache_store =
-      (fun req r ->
-        if cacheable req then
-          Metrics.span t.metrics "serve/store" (fun () -> store t req r));
-  }

@@ -1,23 +1,26 @@
 (** The canonical-form solution cache behind the serve loop.
 
-    Entries are keyed on {!Core.Canon.digest} (rename-invariant, so a
-    bijectively renamed resubmission of a solved workflow keys to the
-    same slot) and stored in a bounded LRU ({!Svutil.Lru}). A lookup is
-    sound by construction, never by trust:
+    Entries are keyed on the canonical form itself
+    ({!Core.Canon.form_of_labeling}; rename-invariant, so a bijectively
+    renamed resubmission of a solved workflow keys to the same slot) and
+    stored in a bounded LRU ({!Svutil.Lru}). The key is the string the
+    stored labeling already holds, so keying adds nothing to an entry. A
+    lookup is sound by construction, never by trust:
 
     + compute the request instance's {!Core.Canon.labeling} (one
-      refinement pass yields both the digest key and the canonical
-      form);
-    + an LRU hit whose stored {e form} differs is an MD5 digest
-      collision between non-isomorphic instances — fall back to a real
-      solve (the [serve.collisions] counter records it);
-    + equal forms exhibit an explicit isomorphism: {!Core.Canon.transport}
-      carries the stored representative's solution into the request's
-      own attribute and public-module names;
+      refinement pass per request; the [store] after a miss reuses it);
+    + a key match is form equality, which exhibits an explicit
+      isomorphism: {!Core.Canon.transport} carries the stored
+      representative's solution into the request's own attribute and
+      public-module names;
     + the transported solution is re-verified on the request instance —
       a {!Core.Solution.of_hidden} re-closure must be feasible with the
       same cost (the same check {!Core.Delta}'s no-op tier runs). Any
       failure falls back to a solve.
+
+    Two isomorphic instances whose color ties are broken differently by
+    name have different forms ({!Core.Canon} completeness caveat); they
+    occupy separate entries and each hits its own.
 
     Only {e proven} results are stored: optimal solutions
     ([proven_optimal]) and proven infeasibility (no solution, no budget
@@ -27,21 +30,14 @@
     counts — serving those from a cache would not be a no-drift
     transformation.
 
-    Counters [serve.{hits,misses,evictions,collisions,verify_failures}]
-    are recorded in the registry passed at {!create}. Not thread-safe;
-    the single-threaded serve loop owns its cache. *)
+    Counters [serve.{hits,misses,evictions,verify_failures}] are
+    recorded in the registry passed at {!create}. Not thread-safe; the
+    single-threaded serve loop owns its cache. *)
 
 type t
 
-val create :
-  ?key:(Core.Instance.t -> string) ->
-  ?metrics:Svutil.Metrics.t ->
-  capacity:int ->
-  unit ->
-  t
-(** [?key] overrides the digest as the LRU key — only for tests, which
-    use a constant key to force the digest-collision path.
-    @raise Invalid_argument when [capacity < 1]. *)
+val create : ?metrics:Svutil.Metrics.t -> capacity:int -> unit -> t
+(** @raise Invalid_argument when [capacity < 1]. *)
 
 val capacity : t -> int
 val length : t -> int
@@ -60,15 +56,10 @@ val find : t -> Core.Engine.request -> Core.Engine.result option
 (** The verified lookup described above. [Some r] carries the
     transported solution, [proven_optimal = true] (or the stored
     infeasibility), the stored lower bound, and a fresh
-    [solved_state] for the request instance. [None] on any miss,
-    collision, or verification failure. Does not check {!cacheable} —
+    [solved_state] for the request instance. [None] on any miss or
+    verification failure. Does not check {!cacheable} —
     callers gate on it first. *)
 
 val store : t -> Core.Engine.request -> Core.Engine.result -> unit
 (** Store a result if it is proven (see above); otherwise a no-op.
     Does not check {!cacheable} — callers gate on it first. *)
-
-val engine_cache : t -> Core.Engine.cache
-(** Adapter for {!Core.Engine.run_cached}: gates both directions on
-    {!cacheable}, and wraps the lookup and store in [serve/lookup] and
-    [serve/store] metrics spans on the cache's registry. *)

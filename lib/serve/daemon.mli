@@ -10,9 +10,12 @@
     connection concurrency; socket mode serves one connection at a
     time.
 
+    Every solve request's spec must pass the {!Analysis.Wfcheck} static
+    checks before it reaches the cache or the engine.
+
     Observability: the server registry collects
-    [serve.{hits,misses,evictions,collisions,verify_failures}]
-    counters, the [serve.granted_jobs] admission histogram, and
+    [serve.{hits,misses,evictions,verify_failures,drift}] counters, the
+    [serve.granted_jobs] admission histogram, and
     [serve/{parse,lookup,solve,store}] spans. [SIGUSR1] dumps the stats
     and registry to stderr without disturbing the loop; shutdown (EOF,
     a [shutdown] request, or end of socket serving) dumps them a final
@@ -28,13 +31,12 @@ type config = {
           counter) on any optimum drift. For tests and the
           [serve-examples] gate — it re-pays the solve the cache
           saved. *)
-  preflight : bool;  (** run the Wfcheck static checks before solving *)
   metrics : Svutil.Metrics.t;  (** the server registry *)
 }
 
 val default_config : unit -> config
 (** 128 cache entries, a 1-slot pool, {!Request.default_options},
-    no hit verification, preflight on, a fresh live registry. *)
+    no hit verification, a fresh live registry. *)
 
 type t
 (** A running daemon: cache, slot pool, counters. *)

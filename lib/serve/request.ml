@@ -52,12 +52,12 @@ let check_static ~file spec =
   | [] -> Ok spec
   | diagnostics -> Error (Static_errors { file; diagnostics })
 
-let spec_of_file ?(preflight = false) path =
+let spec_of_file ?(preflight = true) path =
   match (try Wf.Parse.parse_file path with Sys_error m -> Error m) with
   | Error e -> Error (Parse_error e)
   | Ok spec -> if preflight then check_static ~file:path spec else Ok spec
 
-let spec_of_string ?(preflight = false) ?(name = "<request>") src =
+let spec_of_string ?(preflight = true) ?(name = "<request>") src =
   match Wf.Parse.parse_string src with
   | Error e -> Error (Parse_error e)
   | Ok spec -> if preflight then check_static ~file:name spec else Ok spec

@@ -47,10 +47,10 @@ val text : error -> string
 (** {1 Spec loading} *)
 
 val spec_of_file : ?preflight:bool -> string -> (Wf.Parse.spec, error) result
-(** Parse a workflow file; with [~preflight:true] (default [false])
-    also run the {!Analysis.Wfcheck} static checks and fail with
-    [Static_errors] when any has severity Error. Missing or unreadable
-    files are [Parse_error]s. *)
+(** Parse a workflow file, then run the {!Analysis.Wfcheck} static
+    checks and fail with [Static_errors] when any has severity Error.
+    [~preflight:false] skips the checks (the CLI [show] command loads
+    that way). Missing or unreadable files are [Parse_error]s. *)
 
 val spec_of_string :
   ?preflight:bool -> ?name:string -> string -> (Wf.Parse.spec, error) result

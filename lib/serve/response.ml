@@ -28,7 +28,7 @@ let engine_result ?(timings = true) (r : Core.Engine.result) =
     @ (match r.Core.Engine.lower_bound with
       | Some b -> [ ("lower_bound", str (Rat.to_string b)) ]
       | None -> [])
-    @ (match r.Core.Engine.ratio with
+    @ (match Core.Engine.ratio r with
       | Some x -> [ ("ratio", Printf.sprintf "%.6g" x) ]
       | None -> [])
     @ (if timings then

@@ -4,13 +4,6 @@ let create n = Hashtbl.create n
 let mem = Hashtbl.mem
 let add t x = Hashtbl.replace t x ()
 
-let add_new t x =
-  if Hashtbl.mem t x then false
-  else begin
-    Hashtbl.replace t x ();
-    true
-  end
-
 let remove = Hashtbl.remove
 let cardinal = Hashtbl.length
 let fold f t init = Hashtbl.fold (fun x () acc -> f x acc) t init

@@ -14,10 +14,6 @@ val create : int -> 'a t
 val mem : 'a t -> 'a -> bool
 val add : 'a t -> 'a -> unit
 
-val add_new : 'a t -> 'a -> bool
-(** [add_new t x] inserts [x] and reports whether it was absent —
-    a combined membership test and insertion. *)
-
 val remove : 'a t -> 'a -> unit
 val cardinal : 'a t -> int
 val fold : ('a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc

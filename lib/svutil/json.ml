@@ -241,5 +241,4 @@ let to_int = function
 
 let str_member key j = Option.bind (member key j) to_str
 let bool_member key j = Option.bind (member key j) to_bool
-let float_member key j = Option.bind (member key j) to_float
 let int_member key j = Option.bind (member key j) to_int

@@ -51,5 +51,4 @@ val to_int : t -> int option
 
 val str_member : string -> t -> string option
 val bool_member : string -> t -> bool option
-val float_member : string -> t -> float option
 val int_member : string -> t -> int option

@@ -199,12 +199,9 @@ let with_publics () =
       ]
     ()
 
-let test_labeling_agrees_with_digest_and_form () =
+let test_labeling_agrees_with_form () =
   let inst = with_publics () in
   let lab = Canon.labeling inst in
-  Alcotest.(check string)
-    "digest_of_labeling = digest" (Canon.digest inst)
-    (Canon.digest_of_labeling lab);
   Alcotest.(check string)
     "form_of_labeling = form" (Canon.form inst)
     (Canon.form_of_labeling lab)
@@ -254,7 +251,21 @@ let test_transport_rejects_different_forms () =
 (* Serve.Cache units                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let run_through cache req = E.run_cached (Serve.Cache.engine_cache cache) req
+(* [Serve.Daemon.solve]'s cache path: the [cacheable] gate, a verified
+   lookup, then on a miss a solve and a store, tagged the way the
+   daemon tags its responses. *)
+let run_through cache req =
+  let tag status (r : E.result) =
+    { r with E.stats = ("cache", status) :: r.E.stats }
+  in
+  if not (Serve.Cache.cacheable req) then tag "bypass" (E.run req)
+  else
+    match Serve.Cache.find cache req with
+    | Some r -> tag "hit" r
+    | None ->
+        let r = E.run req in
+        Serve.Cache.store cache req r;
+        tag "miss" r
 
 let test_cache_miss_then_hit () =
   let metrics = Metrics.create () in
@@ -282,7 +293,7 @@ let test_cache_bypasses_unproven_methods () =
     (Serve.Cache.cacheable req);
   let r = run_through cache req in
   Alcotest.(check (option string))
-    "run_cached still tags the miss" (Some "miss") (cache_status r);
+    "tagged as a bypass" (Some "bypass") (cache_status r);
   Alcotest.(check int) "nothing stored" 0 (Serve.Cache.length cache);
   Alcotest.(check int) "no miss counted on bypass" 0
     (Serve.Cache.misses cache)
@@ -306,35 +317,46 @@ let test_cache_infeasible_entries () =
     "flagged infeasible" (Some "true")
     (List.assoc_opt "infeasible" r2.E.stats)
 
-let test_cache_collision_falls_back_to_solve () =
-  (* A constant key function forces every instance into one LRU slot:
-     the digest "collides", the form check must catch it, and the
-     request must fall back to a real solve with the right answer. *)
-  let metrics = Metrics.create () in
-  let cache =
-    Serve.Cache.create ~key:(fun _ -> "same") ~metrics ~capacity:4 ()
-  in
-  let a = with_publics () in
-  let b =
-    mk ~attr_costs:[ ("z1", 5); ("z2", 7) ]
-      ~mods:[ m "m" [ "z1"; "z2" ] [] (Req.Card [ (1, 0) ]) ]
+(* Two isomorphic instances whose color ties are broken by name: in x
+   the first input (a) feeds the first output (b); in the renaming y
+   the first input (p) feeds the second output (s, after r). Their
+   forms differ, so each keeps its own entry and x, y, x is miss, miss,
+   hit. *)
+let test_cache_tied_isomorphs_keep_entries () =
+  let x =
+    mk
+      ~attr_costs:[ ("a", 1); ("b", 1); ("c", 1); ("d", 1) ]
+      ~mods:
+        [
+          m "m1" [ "a" ] [ "b" ] (Req.Card [ (1, 0); (0, 1) ]);
+          m "m2" [ "c" ] [ "d" ] (Req.Card [ (1, 0); (0, 1) ]);
+        ]
       ()
   in
-  let ra = run_through cache (exact_request a) in
-  let rb = run_through cache (exact_request b) in
-  Alcotest.(check (option string)) "collision is a miss, not a wrong hit"
-    (Some "miss") (cache_status rb);
-  Alcotest.(check int) "collision counted" 1
-    (Metrics.counter_value metrics "serve.collisions");
-  let scratch_b = E.run (exact_request b) in
-  Alcotest.(check (option q)) "fallback solve is correct" (cost_of scratch_b)
-    (cost_of rb);
-  (* The overwrite means [a] now collides the other way. *)
-  let ra2 = run_through cache (exact_request a) in
-  Alcotest.(check (option string)) "overwritten entry misses too"
-    (Some "miss") (cache_status ra2);
-  Alcotest.(check (option q)) "and re-solves correctly" (cost_of ra)
-    (cost_of ra2)
+  let y =
+    mk
+      ~attr_costs:[ ("p", 1); ("s", 1); ("q", 1); ("r", 1) ]
+      ~mods:
+        [
+          m "m1" [ "p" ] [ "s" ] (Req.Card [ (1, 0); (0, 1) ]);
+          m "m2" [ "q" ] [ "r" ] (Req.Card [ (1, 0); (0, 1) ]);
+        ]
+      ()
+  in
+  let cache = Serve.Cache.create ~capacity:4 () in
+  let results =
+    List.map
+      (fun inst -> run_through cache (exact_request inst))
+      [ x; y; x ]
+  in
+  Alcotest.(check (list (option string)))
+    "x, y, x" [ Some "miss"; Some "miss"; Some "hit" ]
+    (List.map cache_status results);
+  Alcotest.(check int) "one entry each" 2 (Serve.Cache.length cache);
+  Alcotest.(check (option q))
+    "hit cost = fresh solve"
+    (cost_of (E.run (exact_request x)))
+    (cost_of (List.nth results 2))
 
 let test_cache_eviction_counting () =
   let metrics = Metrics.create () in
@@ -577,8 +599,8 @@ let () =
         ] );
       ( "canon",
         [
-          Alcotest.test_case "labeling agrees with digest/form" `Quick
-            test_labeling_agrees_with_digest_and_form;
+          Alcotest.test_case "labeling agrees with form" `Quick
+            test_labeling_agrees_with_form;
           Alcotest.test_case "transport across a renaming" `Quick
             test_transport_renamed;
           Alcotest.test_case "transport rejects unequal forms" `Quick
@@ -592,8 +614,8 @@ let () =
             test_cache_bypasses_unproven_methods;
           Alcotest.test_case "proven infeasibility is cached" `Quick
             test_cache_infeasible_entries;
-          Alcotest.test_case "digest collision falls back to solve" `Quick
-            test_cache_collision_falls_back_to_solve;
+          Alcotest.test_case "tied isomorphs keep their own entries" `Quick
+            test_cache_tied_isomorphs_keep_entries;
           Alcotest.test_case "eviction counting" `Quick
             test_cache_eviction_counting;
           prop ~count:40 "hit = scratch optimum, Theorem 4/8 safe"
