@@ -3,8 +3,7 @@
 
 Usage, from the root of the repository:
 
-    python3 bench/ab.py --base REV --workload hot|cold|corpus \
-        [--n 10] [--seed 777] [--seconds 10]
+    python3 bench/ab.py --base REV --workload W [--n 10]
 
 or `make bench-ab BASE=REV W=WORKLOAD N=10`.
 
@@ -12,9 +11,11 @@ Unpacks REV with `git archive` into a temporary directory (under
 $TMPDIR) and compares it with this checkout, working tree included.
 Each side runs its own
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed 777 --seconds T --trace 0
 
-N times, in alternating pairs: the base goes first in even pairs and the
+N times, in alternating pairs. W is one of the workloads that
+BENCHMARK.json lists, T is its "run_seconds", and 777 is the seed that
+bench/counts.json records. The base goes first in even pairs and the
 change in odd ones, so drift of the host hits both sides alike. For
 every end-to-end metric that BENCHMARK.json declares, prints the median
 and interquartile range of each side, the relative change of the
@@ -40,6 +41,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 777
 
 
 def git(*args, **kw):
@@ -59,13 +61,13 @@ def build(side):
     )
 
 
-def run(side, args):
+def run(side, workload, seconds):
     proc = subprocess.run(
         [
             sys.executable, os.path.join(side, "perfbench", "run.py"),
-            "--workload", args.workload,
-            "--seed", str(args.seed),
-            "--seconds", str(args.seconds),
+            "--workload", workload,
+            "--seed", str(SEED),
+            "--seconds", str(seconds),
             "--trace", "0",
         ],
         cwd=side, stdout=subprocess.PIPE, text=True,
@@ -87,12 +89,14 @@ def spread(xs):
 
 
 def main():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
-    ap.add_argument("--workload", required=True, choices=("hot", "cold", "corpus"))
+    ap.add_argument("--workload", required=True,
+                    choices=[w["name"] for w in bench["workloads"]])
     ap.add_argument("--n", type=int, default=10, help="number of pairs")
-    ap.add_argument("--seed", type=int, default=777)
-    ap.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args()
     if args.n < 1:
         ap.error("--n must be at least 1")
@@ -101,8 +105,6 @@ def main():
                   stdout=subprocess.PIPE, text=True).stdout.strip()
     except subprocess.CalledProcessError:
         ap.error(f"--base {args.base!r} names no git revision")
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
 
     tmp = tempfile.mkdtemp(prefix="bench-ab-")
     try:
@@ -114,7 +116,7 @@ def main():
         for i in range(args.n):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for name in order:
-                r = run(sides[name], args)
+                r = run(sides[name], args.workload, seconds)
                 if r is None:
                     r = {"ok": False, "failed": None, "values": {}}
                 runs[name].append(r)
@@ -130,7 +132,7 @@ def main():
             bad = True
             print(f"FAIL: {len(failed)} of {len(rs)} {name} runs failed")
     print(f"{args.workload}: base {rev[:12]} vs change, {args.n} pairs, "
-          f"seed {args.seed}, {args.seconds:g} s per run")
+          f"seed {SEED}, {seconds:g} s per run")
     print(f"{'metric':<16} {'base median':>12} {'base IQR':>10} "
           f"{'change median':>14} {'change IQR':>11} {'change':>8} {'wins':>6}")
     for m in metrics:
@@ -158,8 +160,8 @@ def main():
         print(f"{name:<16} {bm:>12.4g} {biqr:>10.3g} {cm:>14.4g} {ciqr:>11.3g} "
               f"{rel:>+8.1%} {f'{wins}/{len(pairs)}':>6}  {note}".rstrip())
     print(json.dumps({
-        "workload": args.workload, "base": rev, "seed": args.seed,
-        "seconds": args.seconds,
+        "workload": args.workload, "base": rev, "seed": SEED,
+        "seconds": seconds,
         "runs": {k: [{"failed": r["failed"], **{m["name"]: r["values"].get(m["name"])
                                                  for m in metrics}} for r in v]
                  for k, v in runs.items()},

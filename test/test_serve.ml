@@ -66,8 +66,6 @@ let exact_request ?(metrics = Metrics.nop) inst =
 let cost_of (r : E.result) =
   Option.map (fun (s : Sol.t) -> s.Sol.cost) r.E.solution
 
-let cache_status (r : E.result) = List.assoc_opt "cache" r.E.stats
-
 (* ------------------------------------------------------------------ *)
 (* Svutil.Lru                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -251,34 +249,54 @@ let test_transport_rejects_different_forms () =
 (* Serve.Cache units                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* [Serve.Daemon.solve]'s cache path: the [cacheable] gate, a verified
-   lookup, then on a miss a solve and a store, tagged the way the
-   daemon tags its responses. *)
-let run_through cache req =
-  let tag status (r : E.result) =
-    { r with E.stats = ("cache", status) :: r.E.stats }
-  in
-  if not (Serve.Cache.cacheable req) then tag "bypass" (E.run req)
-  else
-    match Serve.Cache.find cache req with
-    | Some r -> tag "hit" r
-    | None ->
-        let r = E.run req in
-        Serve.Cache.store cache req r;
-        tag "miss" r
+(* The daemon, driven in-process through its own request path:
+   [Serve.Daemon.handle_line] on inline JSON-lines requests. *)
+let daemon () =
+  Serve.Daemon.create
+    { (Serve.Daemon.default_config ()) with Serve.Daemon.verify_hits = true }
+
+let spec_text =
+  "gamma 2\nattr a cost 1\nattr b cost 1\nattr c cost 1\n\
+   module m private inputs a b outputs c\nfn m xor\n"
+
+let solve_line ?(extra = "") ?(spec = spec_text) id =
+  Printf.sprintf {|{"id":%s,"op":"solve","workflow":%s%s}|}
+    (Serve.Response.str id) (Serve.Response.str spec) extra
+
+let response_of t line =
+  match Serve.Daemon.handle_line t line with
+  | Some r, cont -> (
+      match Json.of_string r with
+      | Ok j -> (j, cont)
+      | Error e -> Alcotest.fail ("response is not JSON: " ^ e ^ ": " ^ r))
+  | None, _ -> Alcotest.fail "expected a response"
+
+let stats_of t =
+  let r, _ = response_of t {|{"id":"st","op":"stats"}|} in
+  match Json.member "stats" r with
+  | Some st -> st
+  | None -> Alcotest.fail "stats response lacks stats"
+
+(* A solve and a store, for the cache units below; the daemon's own
+   path (gate, lookup, solve, store, tag) is tested through
+   [handle_line]. *)
+let solve_into cache req =
+  let r = E.run req in
+  Serve.Cache.store cache req r;
+  r
 
 let test_cache_miss_then_hit () =
   let metrics = Metrics.create () in
   let cache = Serve.Cache.create ~metrics ~capacity:4 () in
   let inst = with_publics () in
-  let r1 = run_through cache (exact_request inst) in
-  Alcotest.(check (option string)) "first is a miss" (Some "miss")
-    (cache_status r1);
-  let r2 = run_through cache (exact_request (rename_instance "_r" inst)) in
-  Alcotest.(check (option string)) "renamed resubmission hits" (Some "hit")
-    (cache_status r2);
-  Alcotest.(check (option q)) "same optimum" (cost_of r1) (cost_of r2);
-  Alcotest.(check bool) "hit is proven optimal" true r2.E.proven_optimal;
+  Alcotest.(check bool) "first lookup misses" true
+    (Option.is_none (Serve.Cache.find cache (exact_request inst)));
+  let r1 = solve_into cache (exact_request inst) in
+  (match Serve.Cache.find cache (exact_request (rename_instance "_r" inst)) with
+  | None -> Alcotest.fail "renamed resubmission must hit"
+  | Some r2 ->
+      Alcotest.(check (option q)) "same optimum" (cost_of r1) (cost_of r2);
+      Alcotest.(check bool) "hit is proven optimal" true r2.E.proven_optimal);
   Alcotest.(check int) "hits counted" 1 (Serve.Cache.hits cache);
   Alcotest.(check int) "misses counted" 1 (Serve.Cache.misses cache);
   Alcotest.(check int) "one entry" 1 (Serve.Cache.length cache);
@@ -286,17 +304,18 @@ let test_cache_miss_then_hit () =
     (Metrics.counter_value metrics "serve.hits")
 
 let test_cache_bypasses_unproven_methods () =
-  let cache = Serve.Cache.create ~capacity:4 () in
   let inst = with_publics () in
-  let req = { (E.default_request inst) with E.meth = E.Greedy } in
   Alcotest.(check bool) "greedy is not cacheable" false
-    (Serve.Cache.cacheable req);
-  let r = run_through cache req in
+    (Serve.Cache.cacheable { (E.default_request inst) with E.meth = E.Greedy });
+  let t = daemon () in
+  let r, _ = response_of t (solve_line ~extra:{|,"method":"greedy"|} "g") in
   Alcotest.(check (option string))
-    "tagged as a bypass" (Some "bypass") (cache_status r);
-  Alcotest.(check int) "nothing stored" 0 (Serve.Cache.length cache);
-  Alcotest.(check int) "no miss counted on bypass" 0
-    (Serve.Cache.misses cache)
+    "tagged as a bypass" (Some "bypass") (Json.str_member "cache" r);
+  let st = stats_of t in
+  Alcotest.(check (option int)) "nothing stored" (Some 0)
+    (Json.int_member "size" st);
+  Alcotest.(check (option int)) "no miss counted on bypass" (Some 0)
+    (Json.int_member "misses" st)
 
 let test_cache_infeasible_entries () =
   let cache = Serve.Cache.create ~capacity:4 () in
@@ -305,58 +324,58 @@ let test_cache_infeasible_entries () =
       ~mods:[ m "m" [ "x" ] [] (Req.Card [ (9, 0) ]) ]
       ()
   in
-  let r1 = run_through cache (exact_request infeasible) in
+  let r1 = solve_into cache (exact_request infeasible) in
   Alcotest.(check (option q)) "infeasible" None (cost_of r1);
   Alcotest.(check int) "proven infeasibility is stored" 1
     (Serve.Cache.length cache);
-  let r2 = run_through cache (exact_request (rename_instance "_r" infeasible)) in
-  Alcotest.(check (option string)) "renamed infeasible hits" (Some "hit")
-    (cache_status r2);
-  Alcotest.(check (option q)) "still infeasible" None (cost_of r2);
-  Alcotest.(check (option string))
-    "flagged infeasible" (Some "true")
-    (List.assoc_opt "infeasible" r2.E.stats)
+  match
+    Serve.Cache.find cache (exact_request (rename_instance "_r" infeasible))
+  with
+  | None -> Alcotest.fail "renamed infeasible must hit"
+  | Some r2 ->
+      Alcotest.(check (option q)) "still infeasible" None (cost_of r2);
+      Alcotest.(check (option string))
+        "flagged infeasible" (Some "true")
+        (List.assoc_opt "infeasible" r2.E.stats)
 
-(* Two isomorphic instances whose color ties are broken by name: in x
+(* Two isomorphic workflows whose color ties are broken by name: in x
    the first input (a) feeds the first output (b); in the renaming y
    the first input (p) feeds the second output (s, after r). Their
    forms differ, so each keeps its own entry and x, y, x is miss, miss,
    hit. *)
 let test_cache_tied_isomorphs_keep_entries () =
-  let x =
-    mk
-      ~attr_costs:[ ("a", 1); ("b", 1); ("c", 1); ("d", 1) ]
-      ~mods:
-        [
-          m "m1" [ "a" ] [ "b" ] (Req.Card [ (1, 0); (0, 1) ]);
-          m "m2" [ "c" ] [ "d" ] (Req.Card [ (1, 0); (0, 1) ]);
-        ]
-      ()
+  let spec ~i1 ~o1 ~i2 ~o2 =
+    Printf.sprintf
+      "gamma 2\nattr %s cost 1\nattr %s cost 1\nattr %s cost 1\n\
+       attr %s cost 1\nmodule m1 private inputs %s outputs %s\n\
+       fn m1 identity\nmodule m2 private inputs %s outputs %s\n\
+       fn m2 identity\n"
+      i1 o1 i2 o2 i1 o1 i2 o2
   in
-  let y =
-    mk
-      ~attr_costs:[ ("p", 1); ("s", 1); ("q", 1); ("r", 1) ]
-      ~mods:
-        [
-          m "m1" [ "p" ] [ "s" ] (Req.Card [ (1, 0); (0, 1) ]);
-          m "m2" [ "q" ] [ "r" ] (Req.Card [ (1, 0); (0, 1) ]);
-        ]
-      ()
-  in
-  let cache = Serve.Cache.create ~capacity:4 () in
-  let results =
-    List.map
-      (fun inst -> run_through cache (exact_request inst))
-      [ x; y; x ]
+  let x = spec ~i1:"a" ~o1:"b" ~i2:"c" ~o2:"d"
+  and y = spec ~i1:"p" ~o1:"s" ~i2:"q" ~o2:"r" in
+  let t = daemon () in
+  let rs =
+    List.map (fun sp -> fst (response_of t (solve_line ~spec:sp "t"))) [ x; y; x ]
   in
   Alcotest.(check (list (option string)))
     "x, y, x" [ Some "miss"; Some "miss"; Some "hit" ]
-    (List.map cache_status results);
-  Alcotest.(check int) "one entry each" 2 (Serve.Cache.length cache);
-  Alcotest.(check (option q))
+    (List.map (Json.str_member "cache") rs);
+  Alcotest.(check (option int)) "one entry each" (Some 2)
+    (Json.int_member "size" (stats_of t));
+  let fresh =
+    match Serve.Request.spec_of_string x with
+    | Ok sp -> E.run (exact_request (Serve.Request.instance_of sp))
+    | Error e -> Alcotest.fail (Serve.Request.message e)
+  in
+  let hit_cost =
+    Option.bind (Json.member "result" (List.nth rs 2)) (fun r ->
+        Option.bind (Json.member "solution" r) (Json.str_member "cost"))
+  in
+  Alcotest.(check (option string))
     "hit cost = fresh solve"
-    (cost_of (E.run (exact_request x)))
-    (cost_of (List.nth results 2))
+    (Option.map Q.to_string (cost_of fresh))
+    hit_cost
 
 let test_cache_eviction_counting () =
   let metrics = Metrics.create () in
@@ -367,15 +386,13 @@ let test_cache_eviction_counting () =
       ~mods:[ m "m" [ "y" ] [] (Req.Card [ (1, 0) ]) ]
       ()
   in
-  ignore (run_through cache (exact_request a));
-  ignore (run_through cache (exact_request b));
+  ignore (solve_into cache (exact_request a));
+  ignore (solve_into cache (exact_request b));
   Alcotest.(check int) "capacity 1 evicts" 1 (Serve.Cache.evictions cache);
   Alcotest.(check int) "serve.evictions counter" 1
     (Metrics.counter_value metrics "serve.evictions");
-  (* The evicted instance re-misses and re-solves. *)
-  let ra = run_through cache (exact_request a) in
-  Alcotest.(check (option string)) "evicted entry misses" (Some "miss")
-    (cache_status ra)
+  Alcotest.(check bool) "evicted entry misses" true
+    (Option.is_none (Serve.Cache.find cache (exact_request a)))
 
 (* ------------------------------------------------------------------ *)
 (* Cache soundness property                                            *)
@@ -410,58 +427,39 @@ let workflow_safe w (s : Sol.t) =
 
 let cache_soundness_prop (w, inst) =
   let cache = Serve.Cache.create ~capacity:4 () in
-  let r1 = run_through cache (exact_request inst) in
+  let r1 = solve_into cache (exact_request inst) in
   (* Identical resubmission: always a hit (same instance, same form),
      and the hit must pass the workflow-level safety re-check. *)
-  let r_same = run_through cache (exact_request inst) in
-  if cache_status r_same <> Some "hit" then
-    QCheck2.Test.fail_report "identical resubmission must hit";
-  if cost_of r_same <> cost_of r1 then
-    QCheck2.Test.fail_report "identical hit changed the optimum";
-  (match r_same.E.solution with
-  | Some s when not (workflow_safe w s) ->
-      QCheck2.Test.fail_report "hit solution fails the Theorem 4/8 re-check"
-  | _ -> ());
-  (* Renamed resubmission: zero drift against a from-scratch solve,
-     hit or miss (a refinement tie may legitimately miss); a hit must
-     be feasible on the renamed instance. *)
+  (match Serve.Cache.find cache (exact_request inst) with
+  | None -> QCheck2.Test.fail_report "identical resubmission must hit"
+  | Some r_same -> (
+      if cost_of r_same <> cost_of r1 then
+        QCheck2.Test.fail_report "identical hit changed the optimum";
+      match r_same.E.solution with
+      | Some s when not (workflow_safe w s) ->
+          QCheck2.Test.fail_report
+            "hit solution fails the Theorem 4/8 re-check"
+      | _ -> ()));
+  (* Renamed resubmission: a refinement tie may legitimately miss, but
+     a hit must carry the from-scratch optimum, feasible on the renamed
+     instance. *)
   let renamed = rename_instance "_r" inst in
-  let r2 = run_through cache (exact_request renamed) in
-  let scratch = E.run (exact_request renamed) in
-  (match (cost_of r2, cost_of scratch) with
-  | Some a, Some b when Q.equal a b -> ()
-  | None, None -> ()
-  | _ -> QCheck2.Test.fail_report "renamed optimum drifted from scratch");
-  (match r2.E.solution with
-  | Some s when cache_status r2 = Some "hit" ->
-      if not (Sol.is_feasible renamed s) then
-        QCheck2.Test.fail_report "transported solution infeasible"
-  | _ -> ());
+  (match Serve.Cache.find cache (exact_request renamed) with
+  | None -> ()
+  | Some r2 -> (
+      (match (cost_of r2, cost_of (E.run (exact_request renamed))) with
+      | Some a, Some b when Q.equal a b -> ()
+      | None, None -> ()
+      | _ -> QCheck2.Test.fail_report "renamed optimum drifted from scratch");
+      match r2.E.solution with
+      | Some s when not (Sol.is_feasible renamed s) ->
+          QCheck2.Test.fail_report "transported solution infeasible"
+      | _ -> ()));
   true
 
 (* ------------------------------------------------------------------ *)
 (* Daemon                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let daemon () =
-  Serve.Daemon.create
-    { (Serve.Daemon.default_config ()) with Serve.Daemon.verify_hits = true }
-
-let spec_text =
-  "gamma 2\nattr a cost 1\nattr b cost 1\nattr c cost 1\n\
-   module m private inputs a b outputs c\nfn m xor\n"
-
-let solve_line ?(extra = "") id =
-  Printf.sprintf {|{"id":%s,"op":"solve","workflow":%s%s}|}
-    (Serve.Response.str id) (Serve.Response.str spec_text) extra
-
-let response_of t line =
-  match Serve.Daemon.handle_line t line with
-  | Some r, cont -> (
-      match Json.of_string r with
-      | Ok j -> (j, cont)
-      | Error e -> Alcotest.fail ("response is not JSON: " ^ e ^ ": " ^ r))
-  | None, _ -> Alcotest.fail "expected a response"
 
 let test_daemon_protocol () =
   let t = daemon () in
@@ -487,14 +485,10 @@ let test_daemon_protocol () =
   let bypass, _ = response_of t (solve_line ~extra:{|,"cache":false|} "s3") in
   Alcotest.(check (option string)) "cache:false bypasses" (Some "bypass")
     (Json.str_member "cache" bypass);
-  let stats, _ = response_of t {|{"id":"st","op":"stats"}|} in
-  (match Json.member "stats" stats with
-  | Some st ->
-      Alcotest.(check (option int)) "one hit" (Some 1)
-        (Json.int_member "hits" st);
-      Alcotest.(check (option int)) "one miss" (Some 1)
-        (Json.int_member "misses" st)
-  | None -> Alcotest.fail "stats response lacks stats");
+  let st = stats_of t in
+  Alcotest.(check (option int)) "one hit" (Some 1) (Json.int_member "hits" st);
+  Alcotest.(check (option int)) "one miss" (Some 1)
+    (Json.int_member "misses" st);
   let bye, cont = response_of t {|{"id":"q","op":"shutdown"}|} in
   Alcotest.(check (option bool)) "shutdown acked" (Some true)
     (Json.bool_member "shutdown" bye);
