@@ -15,7 +15,8 @@ NEW ?= BENCH_PR12.json
 
 # Workload and pair count for bench-ab, e.g.
 #   make bench-ab BASE=HEAD~1 W=cold N=10
-# (there BASE names a git revision, not a baseline file).
+# (there BASE names a git revision, not a baseline file, and defaults
+# to HEAD when not given on the command line).
 W ?= hot
 N ?= 10
 
@@ -68,7 +69,7 @@ perfbench-smoke:
 # end-to-end metric in BENCHMARK.json; fails on a failed run or a metric
 # worse than its bound.
 bench-ab:
-	python3 bench/ab.py --base $(BASE) --workload $(W) --n $(N)
+	python3 bench/ab.py --base $(if $(filter command line,$(origin BASE)),$(BASE),HEAD) --workload $(W) --n $(N)
 
 # Deterministic work counts of the request-level benchmark: one traced
 # run per workload at the seed recorded in bench/counts.json, every

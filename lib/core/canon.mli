@@ -2,20 +2,25 @@
 
     The metamorphic test suite shows that renaming attributes (and
     modules) preserves optima; this module turns that fact into a usable
-    key. A color-refinement pass (Weisfeiler–Leman style, over the
-    attribute / module / public incidence structure) assigns every node
-    a color that depends only on costs, requirement shapes and wiring —
-    never on names. Attributes are then relabeled in stable-color order,
-    and {!form} serializes the relabeled instance. Equal forms exhibit
-    an explicit attribute bijection making the instances textually
-    identical, so [form] equality {e proves} isomorphism (and hence
-    equal optima). The form itself is the serve cache's key
-    ([Serve.Cache]) and [Core.Delta]'s no-op test. No digest stands in
-    for it, so a key match is itself the isomorphism proof and no key
-    collision needs handling.
+    key. A colour-refinement pass (1-WL, over the attribute / module /
+    public incidence structure) assigns every node an int colour that
+    depends only on costs, requirement shapes and wiring — never on
+    names. Round 0 ranks the name-free payloads; each round then ranks
+    every node's signature (its kind, its own colour and its
+    neighbours' sorted colours), so a colour is the rank of a
+    signature, comparable across instances. Refinement stops when the
+    number of colours stops growing, after at most nodes + 1 rounds.
+    Attributes are then relabeled in (colour, name) order, and {!form}
+    serializes the relabeled instance. Equal forms exhibit an explicit
+    attribute bijection making the instances textually identical, so
+    [form] equality {e proves} isomorphism (and hence equal optima).
+    The form itself is the serve cache's key ([Serve.Cache]) and
+    [Core.Delta]'s no-op test. No digest stands in for it, so a key
+    match is itself the isomorphism proof and no key collision needs
+    handling.
 
     Completeness caveat: when the refinement leaves symmetric-looking
-    attributes in one color class, the relabeling breaks ties by
+    attributes in one colour class, the relabeling breaks ties by
     original name, so two isomorphic instances can (rarely) have
     different forms. That only costs a missed equality — never a false
     one: the serve cache keeps such tied isomorphs as separate
@@ -25,9 +30,6 @@ val form : Instance.t -> string
 (** Canonical serialization. [form a = form b] implies [a] and [b] are
     isomorphic (equal optimal cost); the converse can fail on color
     ties. *)
-
-val equal : Instance.t -> Instance.t -> bool
-(** [form] equality: a sound isomorphism check. *)
 
 (** {1 Solution transport}
 
@@ -49,6 +51,11 @@ val form_of_labeling : labeling -> string
 (** The {!form} the labeling serializes to — same string as
     [form inst], with the refinement paid only once. The serve cache
     keys on it directly. *)
+
+val classes : labeling -> string list list
+(** The attributes' stable colour classes in canonical order, each
+    class in name order: the partition the relabeling breaks ties
+    within. For tests and diagnostics; the cache never reads it. *)
 
 val transport : src:labeling -> dst:labeling -> Solution.t -> Solution.t option
 (** [transport ~src ~dst s] maps a solution of [src]'s instance to the

@@ -28,37 +28,44 @@ let mk ~attr_costs ~mods ?(publics = []) () =
 
 let m name inputs outputs req = { Inst.m_name = name; inputs; outputs; req }
 
-(* A bijective renaming: suffix every attribute, module and public
-   name. Isomorphic to the original by construction. *)
-let rename_instance suffix (inst : Inst.t) =
-  let r a = a ^ suffix in
+(* A bijective renaming [r] of every attribute, module and public name.
+   Isomorphic to the original by construction. With [~shuffle] it also
+   permutes the attribute, module and public lists. *)
+let rename_with ?shuffle r (inst : Inst.t) =
+  let reorder l =
+    match shuffle with None -> l | Some rng -> Svutil.Rng.shuffle rng l
+  in
   Inst.make
-    ~attr_costs:(List.map (fun (a, c) -> (r a, c)) inst.Inst.attr_costs)
+    ~attr_costs:(reorder (List.map (fun (a, c) -> (r a, c)) inst.Inst.attr_costs))
     ~mods:
-      (List.map
-         (fun (mr : Inst.module_req) ->
-           {
-             Inst.m_name = mr.Inst.m_name ^ suffix;
-             inputs = List.map r mr.Inst.inputs;
-             outputs = List.map r mr.Inst.outputs;
-             req =
-               (match mr.Inst.req with
-               | Req.Card _ as c -> c
-               | Req.Sets l ->
-                   Req.Sets
-                     (List.map (fun (i, o) -> (List.map r i, List.map r o)) l));
-           })
-         inst.Inst.mods)
+      (reorder
+         (List.map
+            (fun (mr : Inst.module_req) ->
+              {
+                Inst.m_name = r mr.Inst.m_name;
+                inputs = List.map r mr.Inst.inputs;
+                outputs = List.map r mr.Inst.outputs;
+                req =
+                  (match mr.Inst.req with
+                  | Req.Card _ as c -> c
+                  | Req.Sets l ->
+                      Req.Sets
+                        (List.map (fun (i, o) -> (List.map r i, List.map r o)) l));
+              })
+            inst.Inst.mods))
     ~publics:
-      (List.map
-         (fun (p : Inst.public_mod) ->
-           {
-             Inst.p_name = p.Inst.p_name ^ suffix;
-             p_cost = p.Inst.p_cost;
-             p_attrs = List.map r p.Inst.p_attrs;
-           })
-         inst.Inst.publics)
+      (reorder
+         (List.map
+            (fun (p : Inst.public_mod) ->
+              {
+                Inst.p_name = r p.Inst.p_name;
+                p_cost = p.Inst.p_cost;
+                p_attrs = List.map r p.Inst.p_attrs;
+              })
+            inst.Inst.publics))
     ()
+
+let rename_instance suffix inst = rename_with (fun a -> a ^ suffix) inst
 
 let exact_request ?(metrics = Metrics.nop) inst =
   { (E.default_request inst) with E.meth = E.Exact; E.metrics = metrics }
@@ -94,6 +101,21 @@ let test_lru_replace_no_eviction () =
   Alcotest.(check int) "replace is not an eviction" 0 (Lru.evictions l);
   Alcotest.(check (list (pair string int)))
     "replace promotes" [ ("k1", 10); ("k2", 2) ] (Lru.to_list l)
+
+let test_lru_find_head () =
+  let l = Lru.create 3 in
+  Lru.add l "k1" 1;
+  Lru.add l "k2" 2;
+  Lru.add l "k3" 3;
+  Alcotest.(check (option int)) "find the head" (Some 3) (Lru.find l "k3");
+  Alcotest.(check (option int)) "find it again" (Some 3) (Lru.find l "k3");
+  Alcotest.(check (list (pair string int)))
+    "order kept" [ ("k3", 3); ("k2", 2); ("k1", 1) ] (Lru.to_list l);
+  Lru.add l "k4" 4;
+  Alcotest.(check bool) "LRU k1 evicted" false (Lru.mem l "k1");
+  Alcotest.(check (list (pair string int)))
+    "MRU order after eviction" [ ("k4", 4); ("k3", 3); ("k2", 2) ]
+    (Lru.to_list l)
 
 let test_lru_remove_and_bounds () =
   let l = Lru.create 1 in
@@ -341,19 +363,21 @@ let test_cache_infeasible_entries () =
 (* Two isomorphic workflows whose color ties are broken by name: in x
    the first input (a) feeds the first output (b); in the renaming y
    the first input (p) feeds the second output (s, after r). Their
-   forms differ, so each keeps its own entry and x, y, x is miss, miss,
-   hit. *)
+   forms differ. *)
+let tied_spec ~i1 ~o1 ~i2 ~o2 =
+  Printf.sprintf
+    "gamma 2\nattr %s cost 1\nattr %s cost 1\nattr %s cost 1\n\
+     attr %s cost 1\nmodule m1 private inputs %s outputs %s\n\
+     fn m1 identity\nmodule m2 private inputs %s outputs %s\n\
+     fn m2 identity\n"
+    i1 o1 i2 o2 i1 o1 i2 o2
+
+let tied_x = tied_spec ~i1:"a" ~o1:"b" ~i2:"c" ~o2:"d"
+let tied_y = tied_spec ~i1:"p" ~o1:"s" ~i2:"q" ~o2:"r"
+
+(* The tied pair keeps two entries, so x, y, x is miss, miss, hit. *)
 let test_cache_tied_isomorphs_keep_entries () =
-  let spec ~i1 ~o1 ~i2 ~o2 =
-    Printf.sprintf
-      "gamma 2\nattr %s cost 1\nattr %s cost 1\nattr %s cost 1\n\
-       attr %s cost 1\nmodule m1 private inputs %s outputs %s\n\
-       fn m1 identity\nmodule m2 private inputs %s outputs %s\n\
-       fn m2 identity\n"
-      i1 o1 i2 o2 i1 o1 i2 o2
-  in
-  let x = spec ~i1:"a" ~o1:"b" ~i2:"c" ~o2:"d"
-  and y = spec ~i1:"p" ~o1:"s" ~i2:"q" ~o2:"r" in
+  let x = tied_x and y = tied_y in
   let t = daemon () in
   let rs =
     List.map (fun sp -> fst (response_of t (solve_line ~spec:sp "t"))) [ x; y; x ]
@@ -455,6 +479,93 @@ let cache_soundness_prop (w, inst) =
       | Some s when not (Sol.is_feasible renamed s) ->
           QCheck2.Test.fail_report "transported solution infeasible"
       | _ -> ()));
+  true
+
+(* ------------------------------------------------------------------ *)
+(* Canon against the string/MD5 oracle                                 *)
+(* ------------------------------------------------------------------ *)
+
+let instance_of_spec text =
+  match Serve.Request.spec_of_string text with
+  | Ok sp -> Serve.Request.instance_of sp
+  | Error e -> failwith (Serve.Request.message e)
+
+(* Pairs of instances: an instance and itself, its prefix renaming
+   (name order kept), an order-scrambling renaming (names permuted and
+   the attribute, module and public lists shuffled), an independent
+   instance of the same size, or the tied x/y pair. Small cost ranges
+   make colour ties common. *)
+let gen_canon_pair =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* n_modules = int_range 1 4 in
+    let* max_cost = oneofl [ 1; 2; 10 ] in
+    let* kind = int_range 0 4 in
+    let rng = Svutil.Rng.create seed in
+    let instance () =
+      let w =
+        Wf.Gen.random_workflow rng
+          { Wf.Gen.default with n_modules; max_inputs = 2; max_outputs = 2 }
+      in
+      let costs = Wf.Gen.random_costs rng ~max_cost w in
+      let publics = Wf.Gen.random_publics rng ~frac:0.3 ~max_cost w in
+      Inst.of_workflow w ~gamma:2 ~cost:(fun a -> List.assoc a costs) ~publics ()
+    in
+    let a = instance () in
+    let scrambled () =
+      let names =
+        List.map fst a.Inst.attr_costs
+        @ List.map (fun (m : Inst.module_req) -> m.Inst.m_name) a.Inst.mods
+        @ List.map (fun (p : Inst.public_mod) -> p.Inst.p_name) a.Inst.publics
+      in
+      let fresh = Hashtbl.create 16 in
+      List.iteri
+        (fun i n -> Hashtbl.replace fresh n (Printf.sprintf "s%03d" i))
+        (Svutil.Rng.shuffle rng names);
+      rename_with ~shuffle:rng (Hashtbl.find fresh) a
+    in
+    return
+      (match kind with
+      | 0 -> (a, a)
+      | 1 -> (a, rename_with (fun n -> "r_" ^ n) a)
+      | 2 -> (a, scrambled ())
+      | 3 -> (a, instance ())
+      | _ -> (instance_of_spec tied_x, instance_of_spec tied_y)))
+
+(* The ranked-integer canon against the oracle it replaced: the same
+   form-equality relation, the same attribute partition, and on equal
+   forms the same bijection (every attribute and public transported). *)
+let canon_oracle_prop (a, b) =
+  let la = Canon.labeling a and lb = Canon.labeling b in
+  let oa = Canon_oracle.labeling a and ob = Canon_oracle.labeling b in
+  let equal_new =
+    String.equal (Canon.form_of_labeling la) (Canon.form_of_labeling lb)
+  in
+  let equal_old =
+    String.equal (Canon_oracle.form_of_labeling oa)
+      (Canon_oracle.form_of_labeling ob)
+  in
+  if equal_new <> equal_old then
+    QCheck2.Test.fail_reportf "form equality: canon %b, oracle %b" equal_new
+      equal_old;
+  let partition l = List.sort compare (Canon.classes l) in
+  if partition la <> Canon_oracle.partition a
+     || partition lb <> Canon_oracle.partition b
+  then QCheck2.Test.fail_report "colour classes differ from the oracle's";
+  (if equal_new then
+     let all =
+       {
+         Sol.hidden = List.map fst a.Inst.attr_costs;
+         privatized =
+           List.map (fun (p : Inst.public_mod) -> p.Inst.p_name) a.Inst.publics;
+         cost = Q.zero;
+       }
+     in
+     let show = Option.map (fun (s : Sol.t) -> (s.Sol.hidden, s.Sol.privatized)) in
+     if
+       show (Canon.transport ~src:la ~dst:lb all)
+       <> show (Canon_oracle.transport ~src:oa ~dst:ob all)
+     then QCheck2.Test.fail_report "transport differs from the oracle's");
   true
 
 (* ------------------------------------------------------------------ *)
@@ -576,6 +687,8 @@ let () =
             test_lru_capacity_eviction;
           Alcotest.test_case "replace is not an eviction" `Quick
             test_lru_replace_no_eviction;
+          Alcotest.test_case "find on the head keeps the order" `Quick
+            test_lru_find_head;
           Alcotest.test_case "remove and bounds" `Quick
             test_lru_remove_and_bounds;
         ] );
@@ -599,6 +712,10 @@ let () =
             test_transport_renamed;
           Alcotest.test_case "transport rejects unequal forms" `Quick
             test_transport_rejects_different_forms;
+          prop ~count:300 "ranked colours agree with the MD5 oracle"
+            ~print:(fun (a, b) ->
+              Format.asprintf "%a%a" Inst.pp a Inst.pp b)
+            gen_canon_pair canon_oracle_prop;
         ] );
       ( "cache",
         [
